@@ -152,6 +152,17 @@ impl<U: IngestPayload> WorkerHandle<U> {
         self.conn.send(msg)
     }
 
+    /// Sends one routed chunk and keeps it in the replay buffer under
+    /// `tag` — moved into the message and back out, never cloned.
+    fn ship(&mut self, tag: u64, chunk: Vec<U>) -> io::Result<()> {
+        let msg = U::into_ingest(chunk);
+        self.send(&msg)?;
+        let chunk =
+            U::from_ingest(msg).map_err(|_| invalid("ingest message lost its chunk".into()))?;
+        self.replay.push((tag, chunk));
+        Ok(())
+    }
+
     fn recv(&mut self) -> io::Result<WireMessage> {
         self.conn.recv().map_err(wire_to_io)?.ok_or_else(|| {
             invalid(format!(
@@ -377,8 +388,7 @@ fn restart_worker<U: IngestPayload>(
     let replay = std::mem::take(&mut handle.replay);
     for (tag, items) in replay {
         if tag >= resume_epoch {
-            fresh.send(&U::into_ingest(items.clone()))?;
-            fresh.replay.push((tag, items));
+            fresh.ship(tag, items)?;
         }
     }
     // Swap the replacement into the slot; the dead process's handles drop.
@@ -610,8 +620,7 @@ fn drive_job<U: IngestPayload>(
                 // does not cover, exactly like a worker restart.
                 for (tag, items) in state.replay {
                     if tag >= resume_epoch {
-                        handle.send(&U::into_ingest(items.clone()))?;
-                        handle.replay.push((tag, items));
+                        handle.ship(tag, items)?;
                     }
                 }
                 workers.push(handle);
@@ -625,31 +634,48 @@ fn drive_job<U: IngestPayload>(
         persist_manifest(&mut durability, spec, 0, 0, &workers)?;
     }
 
+    let mut epoch = start_epoch; // last barrier epoch sent
+    let mut chunks_routed = start_chunks;
+
     // The non-stalling query plane: a dedicated accept thread plus
     // detached handler threads serve clients from the published-cut
     // slot, so a wedged client can never hold up a barrier (`query.rs`).
+    // One query barrier right after attach gives the slot its first cut
+    // before the plane is announced.
     let plane = match &query.listen {
-        Some(addr) => Some(QueryPlane::start(addr, spec.sampler, spec.seed)?),
+        Some(addr) => {
+            epoch += 1;
+            let snapshots = query_barrier(&mut workers, epoch)?;
+            let attach = PublishedCut {
+                epoch,
+                chunks_routed,
+                processed: routed_prefix(stream.len(), chunks_routed, spec.chunk),
+                snapshots,
+            };
+            Some(QueryPlane::start(addr, spec.sampler, spec.seed, attach)?)
+        }
         None => None,
     };
 
-    let mut epoch = start_epoch; // last barrier epoch sent
-    let mut chunks_routed = start_chunks;
     let mut kill_pending = fault.kill;
     for (index, chunk) in stream.chunks(spec.chunk).enumerate() {
         if (index as u64) < start_chunks {
             continue; // routed (and manifest-covered) before the resume cut
         }
-        let mut routed: Vec<Vec<U>> = vec![Vec::new(); spec.workers];
+        // Sized for the whole chunk so routing never regrows a buffer,
+        // then trimmed: the replay buffer keeps exact-capacity chunks.
+        let mut routed: Vec<Vec<U>> = (0..spec.workers)
+            .map(|_| Vec::with_capacity(chunk.len()))
+            .collect();
         for &update in chunk {
             routed[hash_route(update.route_key(), spec.workers)].push(update);
         }
-        for (worker, updates) in workers.iter_mut().zip(routed) {
+        for (worker, mut updates) in workers.iter_mut().zip(routed) {
             if updates.is_empty() {
                 continue;
             }
-            worker.send(&U::into_ingest(updates.clone()))?;
-            worker.replay.push((epoch, updates));
+            updates.shrink_to_fit();
+            worker.ship(epoch, updates)?;
         }
         chunks_routed += 1;
 

@@ -83,10 +83,7 @@ impl<U: IngestPayload> Manifest<U> {
             w.put_len(shard.replay.len());
             for (epoch_tag, items) in &shard.replay {
                 w.put_u64(*epoch_tag);
-                w.put_len(items.len());
-                for item in items {
-                    U::put(&mut w, item);
-                }
+                U::put_chunk(&mut w, items);
             }
         }
         seal(tag::JOB_MANIFEST, &w.into_bytes())
@@ -117,12 +114,7 @@ impl<U: IngestPayload> Manifest<U> {
             let mut replay = Vec::with_capacity(buffered);
             for _ in 0..buffered {
                 let epoch_tag = r.get_u64()?;
-                let len = r.get_len(U::WIRE_BYTES)?;
-                let mut items = Vec::with_capacity(len);
-                for _ in 0..len {
-                    items.push(U::get(&mut r)?);
-                }
-                replay.push((epoch_tag, items));
+                replay.push((epoch_tag, U::get_chunk(&mut r)?));
             }
             shards.push(ShardState {
                 acked_epoch,

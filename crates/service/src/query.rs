@@ -3,12 +3,17 @@
 //! shared **snapshot cache** so that no client — however slow to read its
 //! reply — can ever hold up an ingest barrier.
 //!
+//! The accept thread parks in a blocking `accept`, so an idle plane costs
+//! nothing and a dialling client is picked up at once; shutdown wakes it
+//! by dialling the plane's own port.
+//!
 //! ## The published-cut slot
 //!
-//! The coordinator publishes every consistent cut it collects (checkpoint
-//! barriers upgraded to [`BarrierKind::CheckpointPublish`], plus every
-//! explicit query barrier) into a versioned slot: an ArcSwap-style cell
-//! hand-rolled as `Mutex<Option<Arc<PublishedCut>>>` — the lock is held
+//! The coordinator publishes every consistent cut it collects (the attach
+//! cut taken before the plane is announced, checkpoint barriers upgraded
+//! to [`BarrierKind::CheckpointPublish`], plus every explicit query
+//! barrier) into a versioned slot: an ArcSwap-style cell hand-rolled as
+//! `Mutex<Arc<PublishedCut>>` — the lock is held
 //! only for the pointer swap/clone, never across a merge or a socket
 //! write, so it is uncontended in practice. `live_epoch` tracks the
 //! newest barrier epoch the ingest loop has completed; a cached query is
@@ -33,13 +38,14 @@
 //! work entirely.
 
 use std::io::{self, Write as _};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tps_streams::wire::transport::{Connection, TcpConnection, TcpServerListener};
+use tps_streams::wire::transport::{Connection, Listener, TcpConnection, TcpServerListener};
 use tps_streams::wire::{reject, WireMessage};
 use tps_streams::QueryConsistency;
 
@@ -123,7 +129,7 @@ struct Shared {
     kind: SamplerKind,
     seed: u64,
     /// The hand-rolled ArcSwap slot holding the newest published cut.
-    slot: Mutex<Option<Arc<PublishedCut>>>,
+    slot: Mutex<Arc<PublishedCut>>,
     /// Merged report for the cut at a given epoch, computed at most once
     /// however many clients ask (merging is deterministic).
     memo: Mutex<Option<(u64, QueryReport)>>,
@@ -138,8 +144,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn load_slot(&self) -> Option<Arc<PublishedCut>> {
-        self.slot.lock().expect("slot lock").clone()
+    fn load_slot(&self) -> Arc<PublishedCut> {
+        Arc::clone(&self.slot.lock().expect("slot lock"))
     }
 
     /// The memoized canonical merged report for `cut`.
@@ -156,10 +162,8 @@ impl Shared {
     }
 }
 
-/// How long the accept thread sleeps (at most) between shutdown checks;
-/// `accept_within` backs off internally, so an idle plane costs a handful
-/// of polls per second.
-const ACCEPT_SLICE: Duration = Duration::from_millis(50);
+/// How long shutdown waits for its wake-up dial to the plane's own port.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The coordinator's handle on the query plane. Constructed with
 /// [`QueryPlane::start`]; fed via [`QueryPlane::publish`] and the
@@ -168,25 +172,41 @@ pub struct QueryPlane {
     shared: Arc<Shared>,
     requests: Receiver<CutRequest>,
     accept_thread: Option<JoinHandle<()>>,
+    /// Where shutdown dials to wake the accept thread out of `accept`.
+    wake_addr: SocketAddr,
 }
 
 impl QueryPlane {
-    /// Binds `addr`, announces `query-listening <bound-addr>` on stdout
-    /// (flushed, so spawning tests can read it), and spawns the dedicated
-    /// accept thread. Handler threads are detached: a client that wedges
-    /// mid-reply leaks one parked thread, never a barrier.
-    pub fn start(addr: &str, kind: SamplerKind, seed: u64) -> io::Result<Self> {
+    /// Binds `addr`, seeds the slot with `initial` (the cut the
+    /// coordinator took when its workers attached, so the first cached
+    /// queries never find the cache empty), announces
+    /// `query-listening <bound-addr>` on stdout (flushed, so spawning
+    /// tests can read it), and spawns the dedicated accept thread. Handler
+    /// threads are detached: a client that wedges mid-reply leaks one
+    /// parked thread, never a barrier.
+    pub fn start(
+        addr: &str,
+        kind: SamplerKind,
+        seed: u64,
+        initial: PublishedCut,
+    ) -> io::Result<Self> {
         let listener = TcpServerListener::bind(addr)
             .map_err(|e| io::Error::new(e.kind(), format!("query listener {addr}: {e}")))?;
-        println!("query-listening {}", listener.local_addr()?);
-        io::stdout().flush()?;
+        let bound = listener.local_addr()?;
+        let mut wake_addr = bound;
+        if bound.ip().is_unspecified() {
+            wake_addr.set_ip(match bound {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let (requests_tx, requests_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             kind,
             seed,
-            slot: Mutex::new(None),
+            live_epoch: AtomicU64::new(initial.epoch),
+            slot: Mutex::new(Arc::new(initial)),
             memo: Mutex::new(None),
-            live_epoch: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             counters: PlaneCounters::default(),
             requests: requests_tx,
@@ -195,11 +215,15 @@ impl QueryPlane {
         let accept_thread = std::thread::Builder::new()
             .name("tps-query-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))?;
-        Ok(Self {
+        let plane = Self {
             shared,
             requests: requests_rx,
             accept_thread: Some(accept_thread),
-        })
+            wake_addr,
+        };
+        println!("query-listening {bound}");
+        io::stdout().flush()?;
+        Ok(plane)
     }
 
     /// Publishes a consistent cut into the slot and advances the live
@@ -207,7 +231,7 @@ impl QueryPlane {
     /// acks — the only synchronisation is the pointer swap.
     pub fn publish(&self, cut: PublishedCut) -> Arc<PublishedCut> {
         let cut = Arc::new(cut);
-        *self.shared.slot.lock().expect("slot lock") = Some(Arc::clone(&cut));
+        *self.shared.slot.lock().expect("slot lock") = Arc::clone(&cut);
         self.shared.live_epoch.store(cut.epoch, Ordering::Release);
         cut
     }
@@ -267,10 +291,7 @@ impl QueryPlane {
     /// `QueryRejected` because the request channel keeps working until
     /// the plane is dropped.
     pub fn finish(mut self) -> QueryPlaneStats {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.stop_accepting();
         let stats = self.stats();
         eprintln!(
             "query-plane: served={} cache_hits={} cache_misses={} rejected={} \
@@ -284,23 +305,43 @@ impl QueryPlane {
         );
         stats
     }
-}
 
-impl Drop for QueryPlane {
-    fn drop(&mut self) {
+    /// Flags shutdown, wakes the accept thread out of its blocking
+    /// `accept` by dialling the plane's own port, and joins it. Should the
+    /// dial fail while the thread is still parked, it is left detached
+    /// rather than hanging the job.
+    fn stop_accepting(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+        let Some(handle) = self.accept_thread.take() else {
+            return;
+        };
+        match TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT) {
+            Err(e) if !handle.is_finished() => {
+                eprintln!("query-plane: cannot wake the accept thread: {e}");
+            }
+            _ => {
+                let _ = handle.join();
+            }
         }
     }
 }
 
-/// The dedicated accept loop: short bounded waits (so shutdown is
-/// noticed promptly) with `accept_within`'s internal backoff keeping an
-/// idle plane cheap; each accepted client gets a detached handler thread.
-fn accept_loop(listener: TcpServerListener, shared: Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept_within(ACCEPT_SLICE) {
+impl Drop for QueryPlane {
+    fn drop(&mut self) {
+        self.stop_accepting();
+    }
+}
+
+/// The dedicated accept loop: parks in a blocking `accept` until a client
+/// dials (or shutdown dials to wake it); each accepted client gets a
+/// detached handler thread.
+fn accept_loop(mut listener: TcpServerListener, shared: Arc<Shared>) {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::Acquire) {
+            return; // the wake-up dial, or a client too late to serve
+        }
+        match accepted {
             Ok(Some(conn)) => {
                 let handler_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
@@ -310,10 +351,10 @@ fn accept_loop(listener: TcpServerListener, shared: Arc<Shared>) {
                     eprintln!("query-plane: cannot spawn handler: {e}");
                 }
             }
-            Ok(None) => {}
+            Ok(None) => return,
             Err(e) => {
                 eprintln!("query-plane: accept failed: {e}");
-                break;
+                return;
             }
         }
     }
@@ -349,8 +390,8 @@ fn serve_one(conn: &mut TcpConnection, shared: &Shared) -> io::Result<()> {
         QueryConsistency::Cached { max_epochs_stale } => {
             let live = shared.live_epoch.load(Ordering::Acquire);
             match shared.load_slot() {
-                Some(cut) if live.saturating_sub(cut.epoch) <= max_epochs_stale => (cut, true),
-                // Slot empty or too stale: escalate to a consistent cut.
+                cut if live.saturating_sub(cut.epoch) <= max_epochs_stale => (cut, true),
+                // Too stale: escalate to a consistent cut.
                 _ => match request_cut(shared) {
                     Some(cut) => (cut, false),
                     None => {
@@ -431,7 +472,7 @@ mod tests {
     /// by the smoke suite, so these unit tests exercise the slot,
     /// staleness and request-channel logic directly.
     fn plane_for_test() -> QueryPlane {
-        QueryPlane::start("127.0.0.1:0", SamplerKind::L2, 7).unwrap()
+        QueryPlane::start("127.0.0.1:0", SamplerKind::L2, 7, cut(1)).unwrap()
     }
 
     fn cut(epoch: u64) -> PublishedCut {
@@ -446,16 +487,32 @@ mod tests {
     #[test]
     fn publish_advances_the_live_epoch_and_the_slot() {
         let plane = plane_for_test();
-        assert!(plane.shared.load_slot().is_none());
+        // The attach cut is served from the start.
+        assert_eq!(plane.shared.load_slot().epoch, 1);
+        assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), 1);
         plane.publish(cut(4));
-        let held = plane.shared.load_slot().unwrap();
+        let held = plane.shared.load_slot();
         assert_eq!(held.epoch, 4);
         assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), 4);
         // Advancing the epoch without publishing ages the slot.
         plane.advance_epoch(9);
         assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), 9);
-        assert_eq!(plane.shared.load_slot().unwrap().epoch, 4);
+        assert_eq!(plane.shared.load_slot().epoch, 4);
         plane.finish();
+    }
+
+    #[test]
+    fn idle_plane_finishes_promptly() {
+        // Whether the accept thread is already parked in `accept` or not
+        // yet there, the wake-up dial releases it.
+        let plane = plane_for_test();
+        let start = Instant::now();
+        plane.finish();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "finish took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]
@@ -464,7 +521,7 @@ mod tests {
         plane.publish(cut(5));
         plane.advance_epoch(8);
         let live = plane.shared.live_epoch.load(Ordering::Acquire);
-        let slot = plane.shared.load_slot().unwrap();
+        let slot = plane.shared.load_slot();
         // live - cut = 3: a bound of 3 serves the slot, a bound of 2
         // escalates.
         assert!(live.saturating_sub(slot.epoch) <= 3);

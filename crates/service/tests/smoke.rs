@@ -460,6 +460,54 @@ fn spawn_query_coordinator(
     (coordinator, stdout, addr)
 }
 
+/// The attach cut is published before `query-listening` is announced: a
+/// cached query sent right after the announcement is served from the
+/// cache at the zero cut instead of waiting for the first chunk's cut.
+#[test]
+fn first_cached_query_is_served_from_the_attach_cut() {
+    let dir = JobDir::fresh("attach-cut");
+    // Checkpoint cadence past the chunk count: no publishing barrier
+    // runs before the awaited cut, so the live epoch stays at the attach
+    // cut's until the releasing consistent query arrives.
+    let spec = JobSpec {
+        checkpoint_every: 1_000,
+        ..base_spec(SamplerKind::L2, dir.path(), true)
+    };
+    let (coordinator, stdout, addr) =
+        spawn_query_coordinator(&spec, &["--await-query-after-chunks", "2"]);
+    let query = |mode: &[&str]| {
+        let output = Command::new(service_exe())
+            .arg("query")
+            .arg("--connect")
+            .arg(&addr)
+            .args(mode)
+            .output()
+            .expect("query client runs");
+        assert!(
+            output.status.success(),
+            "query client failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let text = String::from_utf8(output.stdout).expect("utf8 client output");
+        let meta = text.lines().next().expect("metadata line").to_string();
+        (meta, parse_report(text.as_bytes()))
+    };
+
+    let (meta, cached) = query(&["--cached", "1"]);
+    assert!(
+        meta.contains("cut=0 ") && meta.ends_with("cached=true"),
+        "first cached query missed the attach cut: {meta:?}"
+    );
+    assert_eq!(cached.processed, 0);
+    // Release the awaited cut; the job then runs to the reference.
+    let (_, consistent) = query(&[]);
+    assert_eq!(consistent.processed, 2 * spec.chunk as u64);
+    assert_eq!(
+        finish_coordinator(coordinator, stdout),
+        run_reference(&spec)
+    );
+}
+
 /// Reads the coordinator's final report and asserts a clean exit.
 fn finish_coordinator(
     mut coordinator: Child,

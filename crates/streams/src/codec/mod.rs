@@ -143,10 +143,15 @@ pub mod tag {
     /// snapshot stamped with its checkpoint epoch, or a byte delta against
     /// the previous frame in the chain. Not a standalone component.
     pub const CHECKPOINT_FRAME: u16 = 0x0050;
-    /// A coordinator↔worker control message ([`crate::wire`]). Transient —
-    /// never written to disk, so it has no golden corpus entry; it reuses
-    /// the sealed envelope purely for the header/checksum hardening.
+    /// A coordinator↔worker control message ([`crate::wire`]) in the
+    /// legacy envelope, FNV-checksummed: since wire protocol v3 only the
+    /// frozen `Hello` is sent under it. Transient — never written to disk,
+    /// so it has no golden corpus entry; it reuses the sealed envelope
+    /// purely for the header/checksum hardening.
     pub const WIRE_MESSAGE: u16 = 0x0060;
+    /// Every other wire message since protocol v3: the same envelope
+    /// sealed with [`super::word_checksum`] instead of FNV-1a.
+    pub const WIRE_FRAME: u16 = 0x0062;
     /// A coordinator job manifest (`tps-service`): the job spec plus the
     /// coordinator's durable routing position and per-shard replay
     /// buffers, appended to the coordinator's checkpoint chain before
@@ -273,6 +278,95 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The four xxHash64 primes.
+const XXH_PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_PRIME_3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_PRIME_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_PRIME_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(XXH_PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_PRIME_1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane))
+        .wrapping_mul(XXH_PRIME_1)
+        .wrapping_add(XXH_PRIME_4)
+}
+
+/// The little-endian `u64` in the first 8 bytes of `bytes`.
+pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8-byte word"))
+}
+
+/// xxHash64 (seed 0) over a byte slice — the word-at-a-time integrity
+/// checksum of the wire protocol's bulk frames.
+///
+/// [`checksum`]'s FNV-1a is one multiply per *byte* in a serial
+/// dependency chain; this reads 8-byte words into four independent lanes
+/// and ends in a full-avalanche finaliser, so every flipped input bit
+/// reaches every output bit (a word-wise FNV would not: two bit-63 flips
+/// in adjacent words cancel). Like [`checksum`], integrity only — not an
+/// authenticity mechanism.
+pub fn word_checksum(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut hash = if bytes.len() >= 32 {
+        let mut lanes = [
+            XXH_PRIME_1.wrapping_add(XXH_PRIME_2),
+            XXH_PRIME_2,
+            0,
+            XXH_PRIME_1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le_u64(word));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let mut hash = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in lanes {
+            hash = xxh_merge(hash, lane);
+        }
+        hash
+    } else {
+        XXH_PRIME_5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        hash = (hash ^ xxh_round(0, le_u64(word)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME_1)
+            .wrapping_add(XXH_PRIME_4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u64::from(u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")));
+        hash = (hash ^ half.wrapping_mul(XXH_PRIME_1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME_2)
+            .wrapping_add(XXH_PRIME_3);
+        tail = &tail[4..];
+    }
+    for &byte in tail {
+        hash = (hash ^ u64::from(byte).wrapping_mul(XXH_PRIME_5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_PRIME_1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(XXH_PRIME_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(XXH_PRIME_3);
+    hash ^ (hash >> 32)
+}
+
 /// An append-only little-endian field writer for snapshot payloads.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
@@ -283,6 +377,14 @@ impl SnapshotWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty writer that holds `capacity` bytes without
+    /// reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// The bytes written so far.
@@ -329,6 +431,19 @@ impl SnapshotWriter {
     /// Appends a collection length (as `u64`).
     pub fn put_len(&mut self, len: usize) {
         self.put_u64(len as u64);
+    }
+
+    /// Appends raw bytes.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends `n` zero bytes and returns them for filling in place — the
+    /// bulk path for fixed-width element arrays.
+    pub fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
     }
 }
 
@@ -400,7 +515,13 @@ impl<'a> SnapshotReader<'a> {
     /// Reads `n` raw bytes into an owned buffer. The length is validated
     /// against the bytes actually remaining before the allocation.
     pub fn get_bytes(&mut self, n: usize) -> Result<Vec<u8>, CodecError> {
-        Ok(self.take(n)?.to_vec())
+        Ok(self.get_slice(n)?.to_vec())
+    }
+
+    /// Borrows the next `n` raw bytes (bounds-checked, no copy) — the bulk
+    /// path for fixed-width element arrays.
+    pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        self.take(n)
     }
 
     /// Reads a component tag and checks it against the expected one.
@@ -477,7 +598,7 @@ impl<'a> SnapshotReader<'a> {
 /// Wraps a component payload in the sealed envelope (magic, version, tag,
 /// length, checksum).
 pub fn seal(component_tag: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 2 + 2 + 8 + payload.len() + 8);
+    let mut out = Vec::with_capacity(ENVELOPE_HEADER + payload.len() + 8);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&component_tag.to_le_bytes());
@@ -503,10 +624,24 @@ pub(crate) fn unseal_at_version(
     bytes: &[u8],
     accept_version: u16,
 ) -> Result<&[u8], CodecError> {
-    const HEADER: usize = 4 + 2 + 2 + 8;
-    if bytes.len() < HEADER + 8 {
+    unseal_with(expected_tag, bytes, accept_version, checksum)
+}
+
+/// Bytes of the sealed-envelope header (magic, version, tag, length).
+pub(crate) const ENVELOPE_HEADER: usize = 4 + 2 + 2 + 8;
+
+/// The envelope checks of [`unseal_at_version`] with the trailing digest
+/// computed by `digest` instead of [`checksum`] — the wire protocol's
+/// bulk frames seal with [`word_checksum`].
+pub(crate) fn unseal_with(
+    expected_tag: u16,
+    bytes: &[u8],
+    accept_version: u16,
+    digest: fn(&[u8]) -> u64,
+) -> Result<&[u8], CodecError> {
+    if bytes.len() < ENVELOPE_HEADER + 8 {
         return Err(CodecError::Truncated {
-            needed: (HEADER + 8) as u64,
+            needed: (ENVELOPE_HEADER + 8) as u64,
             remaining: bytes.len() as u64,
         });
     }
@@ -529,7 +664,7 @@ pub(crate) fn unseal_at_version(
         });
     }
     let declared = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-    let actual = (bytes.len() - HEADER - 8) as u64;
+    let actual = (bytes.len() - ENVELOPE_HEADER - 8) as u64;
     if actual < declared {
         return Err(CodecError::Truncated {
             needed: declared,
@@ -543,11 +678,11 @@ pub(crate) fn unseal_at_version(
     }
     let body_end = bytes.len() - 8;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8-byte slice"));
-    let computed = checksum(&bytes[..body_end]);
+    let computed = digest(&bytes[..body_end]);
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
-    Ok(&bytes[HEADER..body_end])
+    Ok(&bytes[ENVELOPE_HEADER..body_end])
 }
 
 /// The version stored in a sealed snapshot's header, without decoding the
@@ -905,6 +1040,23 @@ mod tests {
         let mut restored = Xoshiro256::restore(&bytes).unwrap();
         for _ in 0..64 {
             assert_eq!(rng.next_u64(), restored.next_u64());
+        }
+    }
+
+    #[test]
+    fn word_checksum_is_xxhash64() {
+        // Published XXH64 (seed 0) values.
+        assert_eq!(word_checksum(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(word_checksum(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(word_checksum(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(word_checksum(b"xxhash"), 0x32DD_3895_2C4B_C720);
+        // Every single-bit flip of a multi-stripe input moves the digest.
+        let data: Vec<u8> = (0..77u8).collect();
+        let base = word_checksum(&data);
+        for bit in 0..data.len() * 8 {
+            let mut flipped = data.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(word_checksum(&flipped), base, "bit {bit}");
         }
     }
 

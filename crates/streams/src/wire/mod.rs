@@ -14,13 +14,22 @@
 //! ## Framing
 //!
 //! Every message is a `u32` little-endian length prefix followed by a
-//! standard sealed envelope (tag [`tag::WIRE_MESSAGE`]) whose payload is
-//! the message body. Reusing the snapshot envelope buys the protocol the
-//! codec's hardening for free: magic/version/tag checks, a declared length
-//! cross-checked against the bytes received, and an FNV checksum over the
-//! whole frame — a desynchronized or corrupted pipe fails as a typed
-//! [`CodecError`] instead of misparsing. The length prefix is capped at
-//! [`MAX_MESSAGE_LEN`] *before* any allocation.
+//! standard sealed envelope whose payload is the message body. Reusing the
+//! snapshot envelope buys the protocol the codec's hardening for free:
+//! magic/version/tag checks, a declared length cross-checked against the
+//! bytes received, and a checksum over the whole frame — a desynchronized
+//! or corrupted pipe fails as a typed [`CodecError`] instead of misparsing.
+//! The length prefix is capped at [`MAX_MESSAGE_LEN`] *before* any
+//! allocation.
+//!
+//! The envelope tag picks the checksum. `Hello` keeps its frozen envelope
+//! (tag [`tag::WIRE_MESSAGE`], byte-serial FNV-1a [`checksum`]), so a peer
+//! of any protocol version can read it. Every other message travels under
+//! [`tag::WIRE_FRAME`], sealed with the word-at-a-time [`word_checksum`]:
+//! ingest frames carry most of the service's bytes, and per-byte FNV cost
+//! more than the sampler itself. A frame is built in one exact-size buffer
+//! with its length prefix in front, so it leaves in one `write_all`;
+//! ingest arrays are copied in and out in bulk.
 //!
 //! ## Conversation shape
 //!
@@ -63,8 +72,9 @@
 //! worker's `Hello` leads with its protocol version and a capability
 //! bitmap ([`caps`]); the `Hello` layout itself is **frozen across all
 //! protocol versions** (version first, then capabilities, shard and
-//! resume epoch, all fixed-width), so any future peer's `Hello` still
-//! *decodes* and the coordinator can reject it with the typed
+//! resume epoch, all fixed-width) and so is its envelope (legacy tag, FNV
+//! checksum), so any future peer's `Hello` still *decodes* and the
+//! coordinator can reject it with the typed
 //! [`WireError::VersionMismatch`] / [`WireError::CapabilityMissing`]
 //! (see [`check_hello`]) instead of a misparse deep inside a later frame.
 //! Negotiation is one-way: the worker announces, the coordinator decides.
@@ -73,7 +83,10 @@ pub mod transport;
 
 use std::io::{self, Read, Write};
 
-use crate::codec::{seal, tag, unseal, CodecError, SnapshotReader, SnapshotWriter};
+use crate::codec::{
+    checksum, le_u64, tag, unseal_with, word_checksum, CodecError, SnapshotReader, SnapshotWriter,
+    ENVELOPE_HEADER, FORMAT_VERSION, MAGIC,
+};
 use crate::query::{QueryConsistency, QueryOptions};
 use crate::update::{Item, SignedUpdate, StreamUpdate};
 
@@ -86,8 +99,10 @@ use crate::update::{Item, SignedUpdate, StreamUpdate};
 ///
 /// v2 re-laid-out `Query`/`QueryReply` for the typed query surface
 /// (consistency options in the request; epoch/cut/cached in the reply),
-/// added `QueryRejected` and the `CheckpointPublish` barrier kind.
-pub const WIRE_PROTOCOL_VERSION: u16 = 2;
+/// added `QueryRejected` and the `CheckpointPublish` barrier kind. v3
+/// moved every message but `Hello` to the [`tag::WIRE_FRAME`] envelope
+/// and its word-at-a-time checksum.
+pub const WIRE_PROTOCOL_VERSION: u16 = 3;
 
 /// Capability bits a worker announces in its [`WireMessage::Hello`].
 ///
@@ -314,8 +329,8 @@ const KIND_QUERY_REJECTED: u8 = 8;
 /// [`WireMessage::Ingest`], [`SignedUpdate`]s as
 /// [`WireMessage::IngestSigned`].
 pub trait IngestPayload: StreamUpdate {
-    /// Bytes one encoded update occupies ([`Self::put`]'s output) — the
-    /// per-element floor length decoders validate before allocating.
+    /// Bytes one encoded update occupies ([`Self::to_wire`]'s output) —
+    /// the per-element floor length decoders validate before allocating.
     const WIRE_BYTES: usize;
 
     /// Capability bits a worker must announce before the coordinator
@@ -329,12 +344,34 @@ pub trait IngestPayload: StreamUpdate {
     /// hands the message back otherwise so the caller can dispatch it.
     fn from_ingest(msg: WireMessage) -> Result<Vec<Self>, WireMessage>;
 
-    /// Encodes one update (fixed width, [`Self::WIRE_BYTES`]) — shared by
-    /// the ingest frames and the coordinator's durable replay buffers.
-    fn put(w: &mut SnapshotWriter, update: &Self);
+    /// Encodes one update into `out`, exactly [`Self::WIRE_BYTES`] bytes
+    /// (fixed-width little-endian).
+    fn to_wire(&self, out: &mut [u8]);
 
-    /// Decodes one update written by [`Self::put`].
-    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, CodecError>;
+    /// Decodes one update from the [`Self::WIRE_BYTES`] bytes
+    /// [`Self::to_wire`] wrote.
+    fn from_wire(bytes: &[u8]) -> Self;
+
+    /// Writes a length-prefixed chunk in one bulk pass — the layout shared
+    /// by the ingest frames and the coordinator's durable replay buffers.
+    fn put_chunk(w: &mut SnapshotWriter, chunk: &[Self]) {
+        w.put_len(chunk.len());
+        let out = w.put_zeroed(chunk.len() * Self::WIRE_BYTES);
+        for (slot, update) in out.chunks_exact_mut(Self::WIRE_BYTES).zip(chunk) {
+            update.to_wire(slot);
+        }
+    }
+
+    /// Reads a chunk written by [`Self::put_chunk`]; the length is
+    /// validated against the bytes remaining before any allocation.
+    fn get_chunk(r: &mut SnapshotReader<'_>) -> Result<Vec<Self>, CodecError> {
+        let len = r.get_len(Self::WIRE_BYTES)?;
+        let bytes = r.get_slice(len * Self::WIRE_BYTES)?;
+        Ok(bytes
+            .chunks_exact(Self::WIRE_BYTES)
+            .map(Self::from_wire)
+            .collect())
+    }
 }
 
 impl IngestPayload for Item {
@@ -352,12 +389,12 @@ impl IngestPayload for Item {
         }
     }
 
-    fn put(w: &mut SnapshotWriter, update: &Self) {
-        w.put_u64(*update);
+    fn to_wire(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
 
-    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, CodecError> {
-        r.get_u64()
+    fn from_wire(bytes: &[u8]) -> Self {
+        le_u64(bytes)
     }
 }
 
@@ -376,16 +413,17 @@ impl IngestPayload for SignedUpdate {
         }
     }
 
-    fn put(w: &mut SnapshotWriter, update: &Self) {
-        w.put_u64(update.item);
-        // Two's-complement cast: the full i64 range round-trips.
-        w.put_u64(update.delta as u64);
+    fn to_wire(&self, out: &mut [u8]) {
+        out[..8].copy_from_slice(&self.item.to_le_bytes());
+        out[8..].copy_from_slice(&self.delta.to_le_bytes());
     }
 
-    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, CodecError> {
-        let item = r.get_u64()?;
-        let delta = r.get_u64()? as i64;
-        Ok(SignedUpdate { item, delta })
+    fn from_wire(bytes: &[u8]) -> Self {
+        SignedUpdate {
+            item: le_u64(bytes),
+            // Two's complement: the full i64 range round-trips.
+            delta: le_u64(&bytes[8..]) as i64,
+        }
     }
 }
 
@@ -444,10 +482,53 @@ impl From<CodecError> for WireError {
     }
 }
 
-/// Encodes a message as its sealed frame (without the length prefix).
-pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    w.put_tag(tag::WIRE_MESSAGE);
+/// The checksum a wire envelope tag is sealed with: the frozen `Hello`
+/// envelope keeps FNV-1a, every other frame uses the word-at-a-time hash.
+fn digest_for(envelope_tag: u16) -> fn(&[u8]) -> u64 {
+    if envelope_tag == tag::WIRE_MESSAGE {
+        checksum
+    } else {
+        word_checksum
+    }
+}
+
+/// Exact payload bytes of `msg` — envelope tag, kind byte and fields — so
+/// its frame is built in one allocation that never regrows.
+fn payload_len(msg: &WireMessage) -> usize {
+    let fields = match msg {
+        WireMessage::Hello { .. } => 2 + 3 * 8,
+        WireMessage::Ingest { items } => 8 + items.len() * Item::WIRE_BYTES,
+        WireMessage::IngestSigned { updates } => 8 + updates.len() * SignedUpdate::WIRE_BYTES,
+        WireMessage::Barrier { .. } => 8 + 1,
+        WireMessage::BarrierAck { snapshot, .. } => {
+            2 * 8 + 1 + snapshot.as_ref().map_or(0, |bytes| 8 + bytes.len())
+        }
+        WireMessage::Shutdown => 0,
+        WireMessage::Query { options } => match options.consistency {
+            QueryConsistency::Consistent => 1,
+            QueryConsistency::Cached { .. } => 1 + 8,
+        },
+        WireMessage::QueryReply { sample, .. } => 4 * 8 + 1 + 8 + sample.len(),
+        WireMessage::QueryRejected { detail, .. } => 1 + 8 + detail.len(),
+    };
+    2 + 1 + fields
+}
+
+/// Builds `msg`'s sealed frame after `prefix` reserved bytes (room for the
+/// stream length prefix), in one exact-size buffer.
+fn build_frame(msg: &WireMessage, prefix: usize) -> Vec<u8> {
+    let envelope_tag = match msg {
+        WireMessage::Hello { .. } => tag::WIRE_MESSAGE,
+        _ => tag::WIRE_FRAME,
+    };
+    let payload = payload_len(msg);
+    let mut w = SnapshotWriter::with_capacity(prefix + ENVELOPE_HEADER + payload + 8);
+    w.put_zeroed(prefix);
+    w.put_bytes(&MAGIC);
+    w.put_u16(FORMAT_VERSION);
+    w.put_tag(envelope_tag);
+    w.put_len(payload);
+    w.put_tag(envelope_tag);
     match msg {
         WireMessage::Hello {
             protocol,
@@ -466,17 +547,11 @@ pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
         }
         WireMessage::Ingest { items } => {
             w.put_u8(KIND_INGEST);
-            w.put_len(items.len());
-            for item in items {
-                Item::put(&mut w, item);
-            }
+            Item::put_chunk(&mut w, items);
         }
         WireMessage::IngestSigned { updates } => {
             w.put_u8(KIND_INGEST_SIGNED);
-            w.put_len(updates.len());
-            for update in updates {
-                SignedUpdate::put(&mut w, update);
-            }
+            SignedUpdate::put_chunk(&mut w, updates);
         }
         WireMessage::Barrier { epoch, kind } => {
             w.put_u8(KIND_BARRIER);
@@ -500,9 +575,7 @@ pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
                 Some(bytes) => {
                     w.put_u8(1);
                     w.put_len(bytes.len());
-                    let mut payload = w.into_bytes();
-                    payload.extend_from_slice(bytes);
-                    return seal(tag::WIRE_MESSAGE, &payload);
+                    w.put_bytes(bytes);
                 }
             }
         }
@@ -534,27 +607,49 @@ pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
             w.put_u64(*cut);
             w.put_u8(u8::from(*cached));
             w.put_len(sample.len());
-            let mut payload = w.into_bytes();
-            payload.extend_from_slice(sample.as_bytes());
-            return seal(tag::WIRE_MESSAGE, &payload);
+            w.put_bytes(sample.as_bytes());
         }
         WireMessage::QueryRejected { code, detail } => {
             w.put_u8(KIND_QUERY_REJECTED);
             w.put_u8(*code);
             w.put_len(detail.len());
-            let mut payload = w.into_bytes();
-            payload.extend_from_slice(detail.as_bytes());
-            return seal(tag::WIRE_MESSAGE, &payload);
+            w.put_bytes(detail.as_bytes());
         }
     }
-    seal(tag::WIRE_MESSAGE, &w.into_bytes())
+    let mut frame = w.into_bytes();
+    // The header declared `payload` bytes before the fields were written.
+    assert_eq!(
+        frame.len(),
+        prefix + ENVELOPE_HEADER + payload,
+        "payload_len disagrees with the encoder"
+    );
+    let digest = digest_for(envelope_tag)(&frame[prefix..]);
+    frame.extend_from_slice(&digest.to_le_bytes());
+    frame
+}
+
+/// Encodes a message as its sealed frame (without the length prefix).
+pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
+    build_frame(msg, 0)
 }
 
 /// Decodes a sealed frame (without the length prefix) back into a message.
 pub fn decode_message(frame: &[u8]) -> Result<WireMessage, CodecError> {
-    let payload = unseal(tag::WIRE_MESSAGE, frame)?;
+    // The envelope tag picks the checksum; anything but the legacy Hello
+    // tag is checked as a v3 frame, so a foreign tag fails typed there.
+    let envelope_tag = if frame.get(6..8) == Some(&tag::WIRE_MESSAGE.to_le_bytes()[..]) {
+        tag::WIRE_MESSAGE
+    } else {
+        tag::WIRE_FRAME
+    };
+    let payload = unseal_with(
+        envelope_tag,
+        frame,
+        FORMAT_VERSION,
+        digest_for(envelope_tag),
+    )?;
     let mut r = SnapshotReader::new(payload);
-    r.expect_tag(tag::WIRE_MESSAGE)?;
+    r.expect_tag(envelope_tag)?;
     let msg = match r.get_u8()? {
         KIND_HELLO => WireMessage::Hello {
             protocol: r.get_u16()?,
@@ -562,22 +657,12 @@ pub fn decode_message(frame: &[u8]) -> Result<WireMessage, CodecError> {
             shard: r.get_u64()?,
             resume_epoch: r.get_u64()?,
         },
-        KIND_INGEST => {
-            let len = r.get_len(Item::WIRE_BYTES)?;
-            let mut items = Vec::with_capacity(len);
-            for _ in 0..len {
-                items.push(Item::get(&mut r)?);
-            }
-            WireMessage::Ingest { items }
-        }
-        KIND_INGEST_SIGNED => {
-            let len = r.get_len(SignedUpdate::WIRE_BYTES)?;
-            let mut updates = Vec::with_capacity(len);
-            for _ in 0..len {
-                updates.push(SignedUpdate::get(&mut r)?);
-            }
-            WireMessage::IngestSigned { updates }
-        }
+        KIND_INGEST => WireMessage::Ingest {
+            items: Item::get_chunk(&mut r)?,
+        },
+        KIND_INGEST_SIGNED => WireMessage::IngestSigned {
+            updates: SignedUpdate::get_chunk(&mut r)?,
+        },
         KIND_BARRIER => {
             let epoch = r.get_u64()?;
             let kind = match r.get_u8()? {
@@ -688,22 +773,22 @@ pub fn decode_message(frame: &[u8]) -> Result<WireMessage, CodecError> {
 /// Writes one length-prefixed message and flushes the writer (messages are
 /// request/response turns; a buffered unflushed frame deadlocks the peer).
 pub fn write_message<W: Write>(w: &mut W, msg: &WireMessage) -> io::Result<()> {
-    let frame = encode_message(msg);
-    let len = u32::try_from(frame.len())
+    let mut frame = build_frame(msg, 4);
+    let sealed = frame.len() - 4;
+    let len = u32::try_from(sealed)
         .ok()
         .filter(|&n| n <= MAX_MESSAGE_LEN)
         .ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "wire message of {} bytes exceeds MAX_MESSAGE_LEN ({MAX_MESSAGE_LEN}); \
+                    "wire message of {sealed} bytes exceeds MAX_MESSAGE_LEN ({MAX_MESSAGE_LEN}); \
                      for query acks this bounds one shard's snapshot — run the job with \
-                     more shards to shrink per-shard state",
-                    frame.len()
+                     more shards to shrink per-shard state"
                 ),
             )
         })?;
-    w.write_all(&len.to_le_bytes())?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     w.write_all(&frame)?;
     w.flush()
 }
@@ -746,6 +831,20 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<Option<WireMessage>, WireError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::seal;
+
+    /// A hand-built v3 frame: `fill` writes the payload after the
+    /// envelope tag, and the envelope is sealed with the word checksum.
+    fn v3_frame(fill: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_tag(tag::WIRE_FRAME);
+        fill(&mut w);
+        let mut frame = seal(tag::WIRE_FRAME, &w.into_bytes());
+        let end = frame.len() - 8;
+        let digest = word_checksum(&frame[..end]);
+        frame[end..].copy_from_slice(&digest.to_le_bytes());
+        frame
+    }
 
     fn all_messages() -> Vec<WireMessage> {
         vec![
@@ -863,6 +962,62 @@ mod tests {
         }
     }
 
+    /// Every pair of flipped bits in a small ingest frame fails typed. A
+    /// word-wise checksum without a full-avalanche finaliser lets some
+    /// pairs cancel (two bit-63 flips in adjacent words, for word-wise
+    /// FNV-1a); this sweep pins the requirement.
+    #[test]
+    fn every_two_bit_flip_of_an_ingest_frame_fails_typed() {
+        let frame = encode_message(&WireMessage::Ingest {
+            items: vec![1, u64::MAX, 1 << 63],
+        });
+        let bits = frame.len() * 8;
+        let mut corrupt = frame.clone();
+        for i in 0..bits {
+            corrupt[i / 8] ^= 1 << (i % 8);
+            for j in i + 1..bits {
+                corrupt[j / 8] ^= 1 << (j % 8);
+                assert!(
+                    decode_message(&corrupt).is_err(),
+                    "flips at bits {i} and {j} went unnoticed"
+                );
+                corrupt[j / 8] ^= 1 << (j % 8);
+            }
+            corrupt[i / 8] ^= 1 << (i % 8);
+        }
+        assert_eq!(corrupt, frame);
+    }
+
+    /// A v2 peer's `Hello`, byte for byte as a protocol-v2 build encoded
+    /// it: the frozen envelope (legacy tag, FNV-1a) and layout mean it
+    /// still decodes, and negotiation rejects it as a typed version
+    /// mismatch instead of a checksum or tag error.
+    #[test]
+    fn frozen_v2_hello_decodes_and_fails_negotiation_typed() {
+        const HELLO_V2: &str = "54505353020060001d000000000000006000000200070000000000000001\
+                                00000000000000050000000000000049f90c8c7199fb13";
+        let frame: Vec<u8> = (0..HELLO_V2.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&HELLO_V2[i..i + 2], 16).unwrap())
+            .collect();
+        let hello = WireMessage::Hello {
+            protocol: 2,
+            capabilities: caps::ALL,
+            shard: 1,
+            resume_epoch: 5,
+        };
+        assert_eq!(decode_message(&frame).unwrap(), hello);
+        // This build still encodes a Hello to exactly those bytes.
+        assert_eq!(encode_message(&hello), frame);
+        assert!(matches!(
+            check_hello(&hello, caps::QUERY),
+            Err(WireError::VersionMismatch {
+                ours: WIRE_PROTOCOL_VERSION,
+                theirs: 2
+            })
+        ));
+    }
+
     #[test]
     fn oversized_prefix_fails_before_allocating() {
         let mut pipe = Vec::new();
@@ -879,11 +1034,10 @@ mod tests {
     fn ingest_length_is_validated_before_allocating() {
         // A validly-sealed Ingest claiming u64::MAX items must fail on the
         // length check, not attempt the allocation.
-        let mut w = SnapshotWriter::new();
-        w.put_tag(tag::WIRE_MESSAGE);
-        w.put_u8(1); // KIND_INGEST
-        w.put_u64(u64::MAX);
-        let frame = seal(tag::WIRE_MESSAGE, &w.into_bytes());
+        let frame = v3_frame(|w| {
+            w.put_u8(KIND_INGEST);
+            w.put_u64(u64::MAX);
+        });
         assert!(matches!(
             decode_message(&frame),
             Err(CodecError::Truncated { .. })
@@ -895,11 +1049,10 @@ mod tests {
         // Same guard as the unsigned variant: a sealed IngestSigned frame
         // claiming u64::MAX updates fails the 16-bytes-per-update length
         // check instead of attempting the allocation.
-        let mut w = SnapshotWriter::new();
-        w.put_tag(tag::WIRE_MESSAGE);
-        w.put_u8(5); // KIND_INGEST_SIGNED
-        w.put_u64(u64::MAX);
-        let frame = seal(tag::WIRE_MESSAGE, &w.into_bytes());
+        let frame = v3_frame(|w| {
+            w.put_u8(KIND_INGEST_SIGNED);
+            w.put_u64(u64::MAX);
+        });
         assert!(matches!(
             decode_message(&frame),
             Err(CodecError::Truncated { .. })
@@ -995,16 +1148,15 @@ mod tests {
     fn query_reply_length_is_validated_before_allocating() {
         // A sealed QueryReply claiming a huge sample length fails the
         // length check instead of attempting the allocation.
-        let mut w = SnapshotWriter::new();
-        w.put_tag(tag::WIRE_MESSAGE);
-        w.put_u8(7); // KIND_QUERY_REPLY
-        w.put_u64(1); // processed
-        w.put_u64(2); // merged_fnv
-        w.put_u64(3); // epoch
-        w.put_u64(4); // cut
-        w.put_u8(0); // cached
-        w.put_u64(u64::MAX);
-        let frame = seal(tag::WIRE_MESSAGE, &w.into_bytes());
+        let frame = v3_frame(|w| {
+            w.put_u8(KIND_QUERY_REPLY);
+            w.put_u64(1); // processed
+            w.put_u64(2); // merged_fnv
+            w.put_u64(3); // epoch
+            w.put_u64(4); // cut
+            w.put_u8(0); // cached
+            w.put_u64(u64::MAX);
+        });
         assert!(matches!(
             decode_message(&frame),
             Err(CodecError::Truncated { .. })

@@ -203,10 +203,11 @@ impl TcpServerListener {
     }
 
     /// Polls for a pending connection for up to `timeout`, sleeping the
-    /// bounded [`poll_backoff`] schedule between polls — the dedicated
-    /// accept thread's replacement for a `accept_pending` busy loop. An
-    /// idle window costs a handful of polls (1, 2, 4, … 16 ms apart),
-    /// never a spinning core.
+    /// bounded [`poll_backoff`] schedule between polls — a bounded wait
+    /// for callers that must look at other state between accepts (a
+    /// thread that can park indefinitely should use the blocking
+    /// [`Listener::accept`] instead). An idle window costs a handful of
+    /// polls (1, 2, 4, … 16 ms apart), never a spinning core.
     pub fn accept_within(&self, timeout: Duration) -> io::Result<Option<TcpConnection>> {
         let deadline = Instant::now() + timeout;
         let mut backoff = Duration::ZERO;
