@@ -6,13 +6,18 @@
 //! same migration path `ShardedSampler::new` → builder took in
 //! `tps_core`.
 //!
-//! The conversation is server-first: the plane leads with its `Hello`,
-//! so the client verifies the protocol version and — for cached queries —
-//! the [`caps::CACHED_QUERY`] capability bit *before* sending its
-//! [`WireMessage::Query`]. The reply is either a `QueryReply` (mapped to
-//! [`QuerySnapshot<QueryReport>`], pinning the epoch/cut that produced
-//! it) or a typed `QueryRejected` (mapped to [`QueryError::Stale`] /
-//! [`QueryError::Closed`]).
+//! The plane leads with its `Hello`, and the client verifies the protocol
+//! version and — for cached queries — the [`caps::CACHED_QUERY`]
+//! capability bit before it trusts any reply. It sends its
+//! [`WireMessage::Query`] at once, without waiting for that `Hello`: a
+//! connection whose handshake completes while the plane closes its
+//! listener (at job end) can be dropped by the server's kernel without a
+//! reset (Linux counts it under `ListenDrops`), and a client that only
+//! listens would then wait out its whole read timeout. A client that has
+//! sent bytes gets the reset at once. The reply is either a `QueryReply`
+//! (mapped to [`QuerySnapshot<QueryReport>`], pinning the epoch/cut that
+//! produced it) or a typed `QueryRejected` (mapped to
+//! [`QueryError::Stale`] / [`QueryError::Closed`]).
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -165,8 +170,10 @@ impl QueryClient {
             .map_err(QueryError::Io)?;
         let mut conn = tcp_framed(stream).map_err(QueryError::Io)?;
 
-        // Server-first Hello: check the version and — only when we are
-        // about to ask for a cached answer — the CACHED_QUERY bit.
+        // Speak first (see the module docs), then check the plane's Hello:
+        // its version and — for a cached answer — the CACHED_QUERY bit.
+        conn.send(&WireMessage::Query { options: *options })
+            .map_err(|e| self.classify_io(e))?;
         let required = match options.consistency {
             QueryConsistency::Consistent => caps::QUERY,
             QueryConsistency::Cached { .. } => caps::QUERY | caps::CACHED_QUERY,
@@ -174,8 +181,6 @@ impl QueryClient {
         let hello = self.recv(&mut conn)?;
         check_hello(&hello, required).map_err(|e| QueryError::Protocol(e.to_string()))?;
 
-        conn.send(&WireMessage::Query { options: *options })
-            .map_err(|e| self.classify_io(e))?;
         match self.recv(&mut conn)? {
             WireMessage::QueryReply {
                 processed,
@@ -306,6 +311,44 @@ mod tests {
         #[allow(deprecated)]
         let result = query("127.0.0.1:1");
         assert!(result.is_err());
+    }
+
+    /// The client's query goes out before the plane's `Hello` arrives: a
+    /// server that reads the query first still gets it, and then answers
+    /// as usual. (A client that waited for the `Hello` would time out.)
+    #[test]
+    fn query_is_sent_before_the_hello_is_read() {
+        use tps_streams::wire::transport::{Listener, TcpServerListener};
+
+        let mut listener = TcpServerListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut conn = listener.accept().unwrap().expect("tcp accepts");
+            let options = match conn.recv().unwrap() {
+                Some(WireMessage::Query { options }) => options,
+                other => panic!("expected the query first, got {other:?}"),
+            };
+            conn.send(&WireMessage::hello(0, 4)).unwrap();
+            conn.send(&WireMessage::QueryReply {
+                processed: 9,
+                merged_fnv: 1,
+                epoch: 4,
+                cut: 3,
+                cached: true,
+                sample: "empty".into(),
+            })
+            .unwrap();
+            options
+        });
+        let snapshot = QueryClient::new(addr)
+            .read_timeout(Duration::from_secs(5))
+            .query(&QueryOptions::cached(2))
+            .unwrap();
+        assert_eq!(
+            (snapshot.epoch, snapshot.cut, snapshot.cached),
+            (4, 3, true)
+        );
+        assert_eq!(server.join().unwrap(), QueryOptions::cached(2));
     }
 
     #[test]

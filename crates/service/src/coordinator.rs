@@ -9,35 +9,55 @@
 //! [`ShardedSampler`](tps_core::sharded::ShardedSampler) over the same
 //! stream.
 //!
-//! ## Replay buffers
+//! ## Replay by stream position
 //!
-//! Every chunk sent to a worker is retained, tagged with the epoch of the
-//! last barrier *sent* before it. A chunk tagged `t` is covered by any
+//! The coordinator already holds the whole stream, so a worker's replay
+//! record keeps no data: one `(tag, chunk index)` entry per chunk that
+//! sent the worker a non-empty part, tagged with the epoch of the last
+//! barrier *sent* before it. A chunk tagged `t` is covered by any
 //! checkpoint with epoch `> t`:
 //!
-//! * on a checkpoint **ack** at epoch `E` (the frame is on disk), chunks
+//! * on a checkpoint **ack** at epoch `E` (the frame is on disk), entries
 //!   tagged `< E` are dropped;
-//! * on a worker **restart** announcing recovered epoch `e`, chunks
-//!   tagged `≥ e` are re-sent in order (tagged `< e` are inside the
-//!   recovered state and are dropped).
+//! * on a worker **restart** announcing recovered epoch `e`, the chunks
+//!   tagged `≥ e` are re-routed from the stream and the worker's parts
+//!   re-sent in order (tagged `< e` are inside the recovered state and
+//!   are dropped).
 //!
 //! The restored state is exactly the checkpoint-`e` cut, so re-ingesting
-//! exactly the uncovered chunks reproduces the uninterrupted shard state
+//! exactly the uncovered parts reproduces the uninterrupted shard state
 //! byte for byte — regardless of how much post-checkpoint work the dead
 //! process had already absorbed (that work died with it).
+//!
+//! ## Flow control
+//!
+//! Every shipped part is followed by a [`BarrierKind::Sync`] carrying the
+//! link's sequence number, and the worker acks it at once. Before
+//! shipping a worker's next part the coordinator reads that worker's acks
+//! until every earlier `Sync` is acked, so at most [`CREDIT_WINDOW`]
+//! chunk is ever unacknowledged on a link: routing the next chunk
+//! overlaps the worker's ingest, but the coordinator never runs further
+//! ahead. Pending consistent queries are served between that credit wait
+//! and the next shipment, so their barrier queues behind no chunk. Acks
+//! arrive in send order, so barrier-ack collection first reads past the
+//! pending `Sync` acks. A `Sync` consumes no job epoch and writes nothing
+//! to disk.
 //!
 //! ## Coordinator durability
 //!
 //! The same argument is applied to the coordinator itself: before every
 //! checkpoint barrier it appends a [`Manifest`] — spec, barrier epoch,
-//! chunks routed, per-shard endpoints and (untrimmed) replay buffers — to
-//! its own chain, fsynced *before* any worker is told to checkpoint (see
-//! `manifest.rs` for the case analysis). `resume_job` reconstructs the
-//! job from that chain alone: re-handshake the workers, re-send the
-//! buffered chunks their recovered epochs don't cover, and re-route the
+//! chunks routed, per-shard endpoints and (untrimmed) replay parts,
+//! re-routed from the stream at persist time — to its own chain, fsynced
+//! *before* any worker is told to checkpoint (see `manifest.rs` for the
+//! case analysis). `resume_job` reconstructs the job from that chain
+//! alone: locate each replay part in the regenerated stream (a part that
+//! does not match fails the resume), re-handshake the workers, re-send
+//! the parts their recovered epochs don't cover, and re-route the
 //! deterministic stream from the recorded chunk cut.
 
 use std::io::{self, BufRead, BufReader};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -128,7 +148,13 @@ fn describe(outcome: SampleOutcome) -> String {
     }
 }
 
-/// One attached worker plus its replay buffer.
+/// Chunks a coordinator→worker link may hold unacknowledged. One is
+/// enough to overlap routing with the worker's ingest; each extra chunk
+/// queued ahead of a worker is a chunk every query barrier waits behind.
+const CREDIT_WINDOW: u64 = 1;
+
+/// One attached worker plus its replay record and credit window; it
+/// ships chunks of `U`.
 struct WorkerHandle<U> {
     shard: usize,
     conn: Box<dyn Connection>,
@@ -140,26 +166,76 @@ struct WorkerHandle<U> {
     /// The worker's TCP endpoint, recorded in the manifest so a resumed
     /// coordinator can find the still-running listener.
     endpoint: Option<String>,
-    /// Chunks sent since the last acked checkpoint, each tagged with the
+    /// `(tag, chunk index)` of every chunk that sent this worker a
+    /// non-empty part since its last acked checkpoint, tagged with the
     /// epoch of the last barrier sent before it.
-    replay: Vec<(u64, Vec<U>)>,
+    replay: Vec<(u64, u64)>,
     /// The last checkpoint epoch this worker acked.
     acked_epoch: u64,
+    /// `Sync` barriers sent on this link; each carries its count as its
+    /// sequence number.
+    syncs_sent: u64,
+    /// `Sync` barriers this worker has acked.
+    syncs_acked: u64,
+    payload: PhantomData<fn(Vec<U>)>,
 }
 
 impl<U: IngestPayload> WorkerHandle<U> {
+    fn new(shard: usize, conn: Box<dyn Connection>) -> Self {
+        Self {
+            shard,
+            conn,
+            child: None,
+            endpoint: None,
+            replay: Vec::new(),
+            acked_epoch: 0,
+            syncs_sent: 0,
+            syncs_acked: 0,
+            payload: PhantomData,
+        }
+    }
+
     fn send(&mut self, msg: &WireMessage) -> io::Result<()> {
         self.conn.send(msg)
     }
 
-    /// Sends one routed chunk and keeps it in the replay buffer under
-    /// `tag` — moved into the message and back out, never cloned.
-    fn ship(&mut self, tag: u64, chunk: Vec<U>) -> io::Result<()> {
-        let msg = U::into_ingest(chunk);
+    /// Ships this worker's part of chunk `index` once the credit window
+    /// has room, records it under `tag`, and asks for the next credit.
+    /// The part is moved into the message and back out, never cloned; it
+    /// comes back empty, keeping its capacity for the next chunk.
+    fn ship(&mut self, tag: u64, index: u64, part: &mut Vec<U>) -> io::Result<()> {
+        self.settle_syncs(CREDIT_WINDOW - 1)?;
+        let msg = U::into_ingest(std::mem::take(part));
         self.send(&msg)?;
-        let chunk =
-            U::from_ingest(msg).map_err(|_| invalid("ingest message lost its chunk".into()))?;
-        self.replay.push((tag, chunk));
+        *part = U::from_ingest(msg).map_err(|_| invalid("ingest message lost its chunk".into()))?;
+        part.clear();
+        self.replay.push((tag, index));
+        self.syncs_sent += 1;
+        self.send(&WireMessage::Barrier {
+            epoch: self.syncs_sent,
+            kind: BarrierKind::Sync,
+        })
+    }
+
+    /// Reads `Sync` acks, in send order, until at most `pending` remain
+    /// unacknowledged.
+    fn settle_syncs(&mut self, pending: u64) -> io::Result<()> {
+        while self.syncs_sent - self.syncs_acked > pending {
+            let seq = self.syncs_acked + 1;
+            match self.recv()? {
+                WireMessage::BarrierAck {
+                    shard,
+                    epoch,
+                    snapshot: None,
+                } if shard == self.shard as u64 && epoch == seq => self.syncs_acked = seq,
+                other => {
+                    return Err(invalid(format!(
+                        "worker {}: expected the ack of sync {seq}, got {other:?}",
+                        self.shard
+                    )))
+                }
+            }
+        }
         Ok(())
     }
 
@@ -172,8 +248,8 @@ impl<U: IngestPayload> WorkerHandle<U> {
         })
     }
 
-    /// Reads and verifies the worker's `Hello` (protocol version and
-    /// capabilities included — see [`check_hello`]), returning the epoch
+    /// Reads and verifies the worker's `Hello` (protocol version and the
+    /// capabilities `U` needs — see [`check_hello`]), returning the epoch
     /// it recovered to (`0` = fresh).
     fn handshake(&mut self) -> io::Result<u64> {
         let hello = self.recv()?;
@@ -189,7 +265,10 @@ impl<U: IngestPayload> WorkerHandle<U> {
     }
 
     /// Reads the barrier ack for `epoch`, returning its snapshot field.
+    /// Every pending `Sync` went out before the barrier, so its ack comes
+    /// first.
     fn expect_ack(&mut self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
+        self.settle_syncs(0)?;
         match self.recv()? {
             WireMessage::BarrierAck {
                 shard,
@@ -233,14 +312,8 @@ fn spawn_pipe_worker<U: IngestPayload>(
         .spawn()?;
     let input = child.stdin.take().expect("piped stdin");
     let output = child.stdout.take().expect("piped stdout");
-    let mut handle = WorkerHandle {
-        shard,
-        conn: Box::new(FramedConnection::new(output, input)),
-        child: Some(child),
-        endpoint: None,
-        replay: Vec::new(),
-        acked_epoch: 0,
-    };
+    let mut handle = WorkerHandle::new(shard, Box::new(FramedConnection::new(output, input)));
+    handle.child = Some(child);
     let resume_epoch = handle.handshake()?;
     Ok((handle, resume_epoch))
 }
@@ -269,14 +342,9 @@ fn spawn_listen_worker<U: IngestPayload>(
         .ok_or_else(|| invalid(format!("worker {shard} announced {line:?}")))?
         .to_string();
     let conn = connect_retry(&endpoint, 250)?;
-    let mut handle = WorkerHandle {
-        shard,
-        conn: Box::new(conn),
-        child: Some(child),
-        endpoint: Some(endpoint),
-        replay: Vec::new(),
-        acked_epoch: 0,
-    };
+    let mut handle = WorkerHandle::new(shard, Box::new(conn));
+    handle.child = Some(child);
+    handle.endpoint = Some(endpoint);
     let resume_epoch = handle.handshake()?;
     Ok((handle, resume_epoch))
 }
@@ -288,14 +356,8 @@ fn connect_worker<U: IngestPayload>(
     attempts: u32,
 ) -> io::Result<(WorkerHandle<U>, u64)> {
     let conn = connect_retry(endpoint, attempts)?;
-    let mut handle = WorkerHandle {
-        shard,
-        conn: Box::new(conn),
-        child: None,
-        endpoint: Some(endpoint.to_string()),
-        replay: Vec::new(),
-        acked_epoch: 0,
-    };
+    let mut handle = WorkerHandle::new(shard, Box::new(conn));
+    handle.endpoint = Some(endpoint.to_string());
     let resume_epoch = handle.handshake()?;
     Ok((handle, resume_epoch))
 }
@@ -363,13 +425,56 @@ fn reattach_worker<U: IngestPayload>(
     }
 }
 
+/// Shard `shard`'s part of stream chunk `index`, routed into `part`
+/// (cleared first) exactly as the ingest loop routed it.
+fn route_part<U: StreamUpdate>(
+    stream: &[U],
+    spec: &JobSpec,
+    index: u64,
+    shard: usize,
+    part: &mut Vec<U>,
+) {
+    let chunk = stream
+        .chunks(spec.chunk)
+        .nth(index as usize)
+        .expect("replay records only chunks of the stream");
+    part.clear();
+    part.extend(
+        chunk
+            .iter()
+            .filter(|update| hash_route(update.route_key(), spec.workers) == shard),
+    );
+}
+
+/// Re-sends `worker` the recorded parts its recovered epoch does not
+/// cover (tagged `≥ resume_epoch`), re-routed from the stream, and
+/// records them afresh. Earlier entries are inside the recovered state.
+fn replay_into<U: IngestPayload>(
+    worker: &mut WorkerHandle<U>,
+    spec: &JobSpec,
+    stream: &[U],
+    replay: Vec<(u64, u64)>,
+    resume_epoch: u64,
+) -> io::Result<()> {
+    worker.acked_epoch = resume_epoch;
+    let mut part = Vec::new();
+    for (tag, index) in replay {
+        if tag >= resume_epoch {
+            route_part(stream, spec, index, worker.shard, &mut part);
+            worker.ship(tag, index, &mut part)?;
+        }
+    }
+    Ok(())
+}
+
 /// Kills the worker outright (SIGKILL — no drain, simulating a crash) and
 /// brings up a replacement: the fresh process recovers from its on-disk
-/// chain, and the coordinator re-sends the buffered chunks the recovered
+/// chain, and the coordinator re-sends the recorded parts the recovered
 /// checkpoint does not cover.
 fn restart_worker<U: IngestPayload>(
     spec: &JobSpec,
     exe: &Path,
+    stream: &[U],
     handle: &mut WorkerHandle<U>,
 ) -> io::Result<()> {
     let Some(child) = handle.child.as_mut() else {
@@ -384,13 +489,8 @@ fn restart_worker<U: IngestPayload>(
         TransportKind::Pipe => spawn_pipe_worker(spec, exe, handle.shard)?,
         TransportKind::Tcp { .. } => spawn_listen_worker(spec, exe, handle.shard)?,
     };
-    fresh.acked_epoch = resume_epoch;
     let replay = std::mem::take(&mut handle.replay);
-    for (tag, items) in replay {
-        if tag >= resume_epoch {
-            fresh.ship(tag, items)?;
-        }
-    }
+    replay_into(&mut fresh, spec, stream, replay, resume_epoch)?;
     // Swap the replacement into the slot; the dead process's handles drop.
     std::mem::swap(handle, &mut fresh);
     Ok(())
@@ -502,9 +602,13 @@ impl Durability {
     }
 }
 
+/// Appends the manifest for the cut `(epoch, chunks_routed)`. Each
+/// worker's replay parts are materialised here, re-routed from the
+/// stream, so the manifest's bytes are those of an owned replay buffer.
 fn persist_manifest<U: IngestPayload>(
     durability: &mut Durability,
     spec: &JobSpec,
+    stream: &[U],
     epoch: u64,
     chunks_routed: u64,
     workers: &[WorkerHandle<U>],
@@ -518,11 +622,60 @@ fn persist_manifest<U: IngestPayload>(
             .map(|worker| ShardState {
                 acked_epoch: worker.acked_epoch,
                 endpoint: worker.endpoint.clone(),
-                replay: worker.replay.clone(),
+                replay: worker
+                    .replay
+                    .iter()
+                    .map(|&(tag, index)| {
+                        let mut part = Vec::new();
+                        route_part(stream, spec, index, worker.shard, &mut part);
+                        (tag, part)
+                    })
+                    .collect(),
             })
             .collect(),
     };
     durability.persist(&manifest)
+}
+
+/// Finds each replay part of `state` (shard `shard`'s, in a manifest cut
+/// at `chunks_routed`) in the job stream, returning its `(tag, chunk
+/// index)` record. The parts are the shard's last non-empty parts before
+/// the cut, so the walk goes back from the cut over this shard's
+/// non-empty parts. A part that differs from the stream's fails with
+/// [`io::ErrorKind::InvalidData`]: the manifest belongs to another stream.
+fn locate_replay<U: IngestPayload + PartialEq>(
+    stream: &[U],
+    spec: &JobSpec,
+    shard: usize,
+    chunks_routed: u64,
+    state: &ShardState<U>,
+) -> io::Result<Vec<(u64, u64)>> {
+    let mut located = Vec::with_capacity(state.replay.len());
+    let mut index = chunks_routed;
+    let mut part = Vec::new();
+    for (tag, items) in state.replay.iter().rev() {
+        loop {
+            index = index.checked_sub(1).ok_or_else(|| {
+                invalid(format!(
+                    "shard {shard}: the manifest records more replay parts than the \
+                     job stream has before chunk {chunks_routed}"
+                ))
+            })?;
+            route_part(stream, spec, index, shard, &mut part);
+            if !part.is_empty() {
+                break;
+            }
+        }
+        if part != *items {
+            return Err(invalid(format!(
+                "shard {shard}: the manifest's replay part for chunk {index} does not \
+                 match the job stream"
+            )));
+        }
+        located.push((*tag, index));
+    }
+    located.reverse();
+    Ok(located)
 }
 
 /// The routed stream-prefix length at a chunk cut (the final chunk may
@@ -531,17 +684,82 @@ fn routed_prefix(stream_len: usize, chunks_routed: u64, chunk: usize) -> u64 {
     (chunks_routed * chunk as u64).min(stream_len as u64)
 }
 
+/// Serves the consistent-cut demands waiting in the query plane's channel
+/// with one query barrier at the cut `chunks_routed`, published to the
+/// snapshot cache. The barrier never touches a client socket — replies
+/// happen in the handlers' own threads.
+fn serve_queries<U: IngestPayload>(
+    plane: &QueryPlane,
+    query: &QueryPlan,
+    workers: &mut [WorkerHandle<U>],
+    epoch: &mut u64,
+    chunks_routed: u64,
+    processed: u64,
+) -> io::Result<()> {
+    let pending = match query.await_after_chunks {
+        // Deterministic test hook: block at exactly this cut until a
+        // consistent query lands, however slow the client is to dial in.
+        Some(cut) if chunks_routed == cut => plane.wait_for_request()?,
+        Some(cut) if chunks_routed < cut => Vec::new(),
+        _ => plane.take_requests(),
+    };
+    if !pending.is_empty() {
+        *epoch += 1;
+        let snapshots = query_barrier(workers, *epoch)?;
+        let published = plane.publish(PublishedCut {
+            epoch: *epoch,
+            chunks_routed,
+            processed,
+            snapshots,
+        });
+        for request in pending {
+            request.fulfil(&published);
+        }
+    }
+    Ok(())
+}
+
 /// The kind-generic job body: attach workers, route the stream,
 /// checkpoint (manifest-before-barrier), inject faults, serve mid-ingest
 /// queries, run the final query barrier, shut down. Returns the final
 /// consistent-cut snapshots in shard order.
-fn drive_job<U: IngestPayload>(
+fn drive_job<U: IngestPayload + PartialEq>(
     spec: &JobSpec,
     stream: &[U],
     fault: &FaultPlan,
     query: &QueryPlan,
     resume: Option<Manifest<U>>,
 ) -> io::Result<Vec<Vec<u8>>> {
+    // A resumed job's replay is checked against the stream before any
+    // worker is attached.
+    let shard_states = match &resume {
+        None => None,
+        Some(manifest) => {
+            if manifest.shards.len() != spec.workers {
+                return Err(invalid(format!(
+                    "manifest records {} shards for a {}-worker job",
+                    manifest.shards.len(),
+                    spec.workers
+                )));
+            }
+            if manifest.chunks_routed > stream.len().div_ceil(spec.chunk) as u64 {
+                return Err(invalid(format!(
+                    "manifest cut at chunk {} lies past the end of the job stream",
+                    manifest.chunks_routed
+                )));
+            }
+            let located = manifest
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(shard, state)| {
+                    let replay = locate_replay(stream, spec, shard, manifest.chunks_routed, state)?;
+                    Ok((state.endpoint.clone(), replay))
+                })
+                .collect::<io::Result<Vec<_>>>()?;
+            Some(located)
+        }
+    };
     let exe = match &spec.worker_exe {
         Some(path) => path.clone(),
         None => std::env::current_exe()?,
@@ -549,7 +767,7 @@ fn drive_job<U: IngestPayload>(
     std::fs::create_dir_all(&spec.checkpoint_dir)?;
 
     let store = CheckpointStore::for_coordinator(&spec.checkpoint_dir);
-    let (mut durability, shard_states, start_epoch, start_chunks) = match &resume {
+    let (mut durability, start_epoch, start_chunks) = match &resume {
         None => {
             if store.recover()?.is_some() {
                 return Err(invalid(format!(
@@ -563,7 +781,6 @@ fn drive_job<U: IngestPayload>(
                     writer: IncrementalCheckpointer::new(),
                     seq: 0,
                 },
-                None,
                 0,
                 0,
             )
@@ -583,7 +800,6 @@ fn drive_job<U: IngestPayload>(
                     ),
                     seq,
                 },
-                Some(manifest.shards.clone()),
                 manifest.epoch,
                 manifest.chunks_routed,
             )
@@ -605,24 +821,12 @@ fn drive_job<U: IngestPayload>(
             }
         }
         Some(states) => {
-            if states.len() != spec.workers {
-                return Err(invalid(format!(
-                    "manifest records {} shards for a {}-worker job",
-                    states.len(),
-                    spec.workers
-                )));
-            }
-            for (shard, state) in states.into_iter().enumerate() {
+            for (shard, (endpoint, replay)) in states.into_iter().enumerate() {
                 let (mut handle, resume_epoch) =
-                    reattach_worker(spec, &exe, shard, state.endpoint.as_ref())?;
-                handle.acked_epoch = resume_epoch;
-                // Re-send every buffered chunk the recovered checkpoint
-                // does not cover, exactly like a worker restart.
-                for (tag, items) in state.replay {
-                    if tag >= resume_epoch {
-                        handle.ship(tag, items)?;
-                    }
-                }
+                    reattach_worker(spec, &exe, shard, endpoint.as_ref())?;
+                // Re-send every part the recovered checkpoint does not
+                // cover, exactly like a worker restart.
+                replay_into(&mut handle, spec, stream, replay, resume_epoch)?;
                 workers.push(handle);
             }
         }
@@ -631,7 +835,7 @@ fn drive_job<U: IngestPayload>(
     // The job is durable from the first moment it could need resuming: a
     // manifest at the zero cut covers death before the first checkpoint.
     if resume.is_none() {
-        persist_manifest(&mut durability, spec, 0, 0, &workers)?;
+        persist_manifest(&mut durability, spec, stream, 0, 0, &workers)?;
     }
 
     let mut epoch = start_epoch; // last barrier epoch sent
@@ -658,24 +862,38 @@ fn drive_job<U: IngestPayload>(
     };
 
     let mut kill_pending = fault.kill;
+    // One routing buffer per shard for the whole job, sized for a whole
+    // chunk so routing never regrows it; `ship` hands each one back.
+    let mut parts: Vec<Vec<U>> = (0..spec.workers)
+        .map(|_| Vec::with_capacity(spec.chunk.min(stream.len())))
+        .collect();
     for (index, chunk) in stream.chunks(spec.chunk).enumerate() {
         if (index as u64) < start_chunks {
             continue; // routed (and manifest-covered) before the resume cut
         }
-        // Sized for the whole chunk so routing never regrows a buffer,
-        // then trimmed: the replay buffer keeps exact-capacity chunks.
-        let mut routed: Vec<Vec<U>> = (0..spec.workers)
-            .map(|_| Vec::with_capacity(chunk.len()))
-            .collect();
         for &update in chunk {
-            routed[hash_route(update.route_key(), spec.workers)].push(update);
+            parts[hash_route(update.route_key(), spec.workers)].push(update);
         }
-        for (worker, mut updates) in workers.iter_mut().zip(routed) {
-            if updates.is_empty() {
-                continue;
+        // Queries are served once every worker has taken its last chunk
+        // and before the next one ships, so a query barrier queues
+        // behind no chunk at all.
+        for worker in workers.iter_mut() {
+            worker.settle_syncs(CREDIT_WINDOW - 1)?;
+        }
+        if let Some(plane) = &plane {
+            serve_queries(
+                plane,
+                query,
+                &mut workers,
+                &mut epoch,
+                chunks_routed,
+                routed_prefix(stream.len(), chunks_routed, spec.chunk),
+            )?;
+        }
+        for (worker, part) in workers.iter_mut().zip(&mut parts) {
+            if !part.is_empty() {
+                worker.ship(epoch, index as u64, part)?;
             }
-            updates.shrink_to_fit();
-            worker.ship(epoch, updates)?;
         }
         chunks_routed += 1;
 
@@ -684,7 +902,7 @@ fn drive_job<U: IngestPayload>(
                 if kill.shard >= spec.workers {
                     return Err(invalid(format!("no shard {} to kill", kill.shard)));
                 }
-                restart_worker(spec, &exe, &mut workers[kill.shard])?;
+                restart_worker(spec, &exe, stream, &mut workers[kill.shard])?;
                 kill_pending = None;
             }
         }
@@ -700,7 +918,14 @@ fn drive_job<U: IngestPayload>(
             epoch += 1;
             // Durability order: the manifest recording this barrier's cut
             // is on disk before any worker is told to checkpoint.
-            persist_manifest(&mut durability, spec, epoch, chunks_routed, &workers)?;
+            persist_manifest(
+                &mut durability,
+                spec,
+                stream,
+                epoch,
+                chunks_routed,
+                &workers,
+            )?;
             // With a live query plane, checkpoint barriers *publish*: the
             // same barrier round that makes the cut durable also hands
             // its snapshots to the snapshot cache.
@@ -745,36 +970,18 @@ fn drive_job<U: IngestPayload>(
                 });
             }
         }
-
-        if let Some(plane) = &plane {
-            // Consistent-cut demands wait in the plane's channel; one
-            // query barrier per chunk boundary serves all of them with
-            // the same published cut. The barrier never touches a client
-            // socket — replies happen in the handlers' own threads.
-            let pending = match query.await_after_chunks {
-                // Deterministic test hook: block at exactly this cut
-                // until a consistent query lands, however slow the client
-                // is to dial in.
-                Some(cut) if chunks_routed == cut => plane.wait_for_request()?,
-                Some(cut) if chunks_routed < cut => Vec::new(),
-                _ => plane.take_requests(),
-            };
-            if !pending.is_empty() {
-                epoch += 1;
-                let snapshots = query_barrier(&mut workers, epoch)?;
-                let published = plane.publish(PublishedCut {
-                    epoch,
-                    chunks_routed,
-                    processed: routed_prefix(stream.len(), chunks_routed, spec.chunk),
-                    snapshots,
-                });
-                for request in pending {
-                    request.fulfil(&published);
-                }
-            }
-        }
     }
 
+    if let Some(plane) = &plane {
+        serve_queries(
+            plane,
+            query,
+            &mut workers,
+            &mut epoch,
+            chunks_routed,
+            routed_prefix(stream.len(), chunks_routed, spec.chunk),
+        )?;
+    }
     epoch += 1;
     let snapshots = query_barrier(&mut workers, epoch)?;
     if let Some(plane) = plane {
@@ -851,7 +1058,7 @@ pub fn resume_job(
     // the recorded absolute path.
     spec.checkpoint_dir = checkpoint_dir.to_path_buf();
 
-    fn resumed<U: IngestPayload>(
+    fn resumed<U: IngestPayload + PartialEq>(
         spec: &JobSpec,
         stream: &[U],
         chain_snapshot: &[u8],
@@ -934,6 +1141,7 @@ pub fn run_reference(spec: &JobSpec) -> QueryReport {
 mod tests {
     use super::*;
     use crate::config::ServiceBuilder;
+    use tps_streams::Item;
 
     #[test]
     fn report_lines_round_trip() {
@@ -963,5 +1171,140 @@ mod tests {
         assert_eq!(a.processed, 30_000);
         let other = JobSpec { seed: 6, ..spec };
         assert_ne!(a.merged_fnv, run_reference(&other).merged_fnv);
+    }
+
+    /// The credit window over a real socket: a scripted worker that holds
+    /// back its `Sync` ack receives the first chunk and its `Sync`, then
+    /// nothing — the coordinator's second `ship` waits for the credit —
+    /// and the second chunk arrives only after the ack.
+    #[test]
+    fn a_withheld_sync_ack_holds_back_the_next_chunk() {
+        use std::net::TcpListener;
+        use std::sync::mpsc;
+        use tps_streams::wire::transport::tcp_framed;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (acked_tx, acked_rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let probe = stream.try_clone().unwrap();
+            let mut conn = tcp_framed(stream).unwrap();
+            conn.send(&WireMessage::hello(0, 0)).unwrap();
+            let expect = |conn: &mut TcpConnection, want: WireMessage| {
+                assert_eq!(conn.recv().unwrap(), Some(want));
+            };
+            expect(&mut conn, WireMessage::Ingest { items: vec![1, 2] });
+            expect(
+                &mut conn,
+                WireMessage::Barrier {
+                    epoch: 1,
+                    kind: BarrierKind::Sync,
+                },
+            );
+            // Withhold the credit: no further byte may arrive.
+            probe
+                .set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
+            let mut byte = [0u8; 1];
+            match probe.peek(&mut byte) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                other => panic!("a frame arrived before the credit: {other:?}"),
+            }
+            probe.set_read_timeout(None).unwrap();
+            acked_tx.send(()).unwrap();
+            conn.send(&WireMessage::BarrierAck {
+                shard: 0,
+                epoch: 1,
+                snapshot: None,
+            })
+            .unwrap();
+            expect(&mut conn, WireMessage::Ingest { items: vec![3] });
+            expect(
+                &mut conn,
+                WireMessage::Barrier {
+                    epoch: 2,
+                    kind: BarrierKind::Sync,
+                },
+            );
+        });
+
+        let mut link = WorkerHandle::<Item>::new(0, Box::new(tcp_connect(addr).unwrap()));
+        assert_eq!(link.handshake().unwrap(), 0);
+        link.ship(0, 0, &mut vec![1, 2]).unwrap();
+        link.ship(0, 1, &mut vec![3]).unwrap();
+        // The second ship returned, so the credit had been granted.
+        acked_rx
+            .try_recv()
+            .expect("second chunk shipped before the credit");
+        worker.join().unwrap();
+        assert_eq!(link.replay, [(0, 0), (0, 1)]);
+        assert_eq!((link.syncs_sent, link.syncs_acked), (2, 1));
+    }
+
+    /// A manifest's replay parts are located in the regenerated stream
+    /// before any worker is attached; a part that disagrees with the
+    /// stream fails the resume as `InvalidData` instead of being replaced
+    /// by whatever the stream holds at that position.
+    #[test]
+    fn resume_rejects_a_replay_that_disagrees_with_the_stream() {
+        let dir = std::env::temp_dir().join(format!("tps-resume-replay-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = ServiceBuilder::new(SamplerKind::L2, 2)
+            .universe(1 << 12)
+            .seed(77)
+            .count(30_000)
+            .chunk(1_000)
+            .checkpoint_every(3)
+            .checkpoint_dir(&dir)
+            .build()
+            .unwrap();
+        let stream = job_stream(spec.universe, spec.count, spec.seed);
+        // The manifest before barrier 2: chunks 3..6, tagged 1.
+        let mut manifest = Manifest {
+            spec: spec.clone(),
+            epoch: 2,
+            chunks_routed: 6,
+            shards: (0..spec.workers)
+                .map(|shard| ShardState {
+                    acked_epoch: 1,
+                    endpoint: None,
+                    replay: (3..6)
+                        .map(|index| {
+                            let mut part = Vec::new();
+                            route_part(&stream, &spec, index, shard, &mut part);
+                            (1, part)
+                        })
+                        .collect(),
+                })
+                .collect(),
+        };
+        for (shard, state) in manifest.shards.iter().enumerate() {
+            assert_eq!(
+                locate_replay(&stream, &spec, shard, 6, state).unwrap(),
+                [(1, 3), (1, 4), (1, 5)]
+            );
+        }
+
+        manifest.shards[1].replay[1].1[0] ^= 1;
+        let store = CheckpointStore::for_coordinator(&dir);
+        let frame = IncrementalCheckpointer::new().checkpoint_bytes(manifest.encode(), 1);
+        store.append_frame(frame.bytes()).unwrap();
+        let err = resume_job(&dir, None, &QueryPlan::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("chunk 4 does not match"),
+            "unexpected error: {err}"
+        );
+        assert!(
+            !CheckpointStore::for_shard(&dir, 0).path().exists(),
+            "a worker was attached before the replay was checked"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

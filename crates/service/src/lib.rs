@@ -11,7 +11,7 @@
 //!
 //! * **Checkpoint barriers** make every worker append an incremental
 //!   (delta) frame — [`tps_streams::codec::delta`] — to its on-disk chain
-//!   and ack; the acks let the coordinator trim its replay buffers.
+//!   and ack; the acks let the coordinator trim its replay records.
 //!   Chains are garbage-collected after rebases ([`CheckpointStore::compact`]).
 //! * **Query barriers** collect every worker's full sealed snapshot at a
 //!   consistent cut; the coordinator restores and fold-merges them in
@@ -29,25 +29,30 @@
 //!
 //! ## Failure semantics
 //!
-//! The coordinator buffers every chunk it sends, tagged with the epoch of
-//! the last barrier *sent* before it; a chunk tagged `t` is covered by any
-//! checkpoint with epoch `> t`. When a checkpoint at epoch `E` is acked
-//! (the worker wrote the frame to disk before acking), chunks tagged
-//! `< E` are dropped from the buffer. When a worker dies, the coordinator
-//! respawns (or re-dials) it; the fresh process replays its on-disk
-//! chain, reports the recovered epoch in its `Hello`, and the coordinator
-//! re-sends exactly the buffered chunks the checkpoint does not cover
-//! (tag `≥` recovered epoch). Re-ingesting those chunks on top of the
+//! The coordinator records the stream position of every chunk it sends a
+//! worker, tagged with the epoch of the last barrier *sent* before it; a
+//! chunk tagged `t` is covered by any checkpoint with epoch `> t`. When a
+//! checkpoint at epoch `E` is acked (the worker wrote the frame to disk
+//! before acking), records tagged `< E` are dropped. When a worker dies,
+//! the coordinator respawns (or re-dials) it; the fresh process replays
+//! its on-disk chain, reports the recovered epoch in its `Hello`, and the
+//! coordinator re-routes and re-sends exactly the parts the checkpoint
+//! does not cover (tag `≥` recovered epoch). Re-ingesting those chunks on top of the
 //! restored state reproduces the uninterrupted run's shard state byte for
 //! byte — which the smoke test asserts end to end through the merged
 //! query.
 //!
 //! The coordinator applies the same discipline to *itself*: before every
 //! checkpoint barrier it appends a [`manifest::Manifest`] — spec, stream
-//! cut, per-shard endpoints and replay buffers — to its own chain
-//! (fsync-before-barrier), so a SIGKILLed coordinator resumes with
+//! cut, per-shard endpoints and replay parts, materialised from the
+//! stream at persist time — to its own chain (fsync-before-barrier), so a SIGKILLed coordinator resumes with
 //! [`coordinator::resume_job`] and finishes with a byte-identical final
 //! query. See `manifest.rs` for the crash-consistency argument.
+//!
+//! Each link is flow-controlled: the coordinator follows every shipped
+//! chunk with a `Sync` barrier and ships that worker's next chunk only
+//! once it is acked, so a worker never has more than one chunk queued and
+//! a query barrier waits behind at most that chunk.
 //!
 //! Jobs are described by a typed, codec-serializable [`JobSpec`] built
 //! with [`ServiceBuilder`]; the CLI in `main.rs` is a thin parser over it.

@@ -1,7 +1,14 @@
 //! The coordinator's durable job manifest: the [`JobSpec`] plus the
-//! coordinator's routing position and per-shard replay buffers, sealed as
+//! coordinator's routing position and per-shard replay parts, sealed as
 //! one codec snapshot (`tag::JOB_MANIFEST`) and checkpointed through the
 //! same delta chain machinery workers use.
+//!
+//! In memory the coordinator records replay by stream position only —
+//! `(tag, chunk index)` per part. The parts are materialised here at
+//! persist time, re-routed from the stream, so the manifest's encoding is
+//! that of an owned replay buffer; a resuming coordinator finds each part
+//! in the regenerated stream again and refuses a manifest whose parts the
+//! stream does not contain.
 //!
 //! ## Write-before-barrier
 //!
@@ -40,9 +47,9 @@ pub struct ShardState<U> {
     /// resumed coordinator finds the still-running listener. `None` for
     /// pipe workers (they die with the coordinator and are respawned).
     pub endpoint: Option<String>,
-    /// Chunks sent since the last acked checkpoint, each tagged with the
-    /// epoch of the last barrier sent before it — the replay buffer,
-    /// exactly as the in-memory protocol keeps it.
+    /// This shard's non-empty parts of the chunks sent since its last
+    /// acked checkpoint, each tagged with the epoch of the last barrier
+    /// sent before it, in routing order.
     pub replay: Vec<(u64, Vec<U>)>,
 }
 

@@ -5,7 +5,9 @@
 //!
 //! The accept thread parks in a blocking `accept`, so an idle plane costs
 //! nothing and a dialling client is picked up at once; shutdown wakes it
-//! by dialling the plane's own port.
+//! by dialling the plane's own port. A failed `accept` (a connection
+//! aborted while queued, a full descriptor table) is logged and the
+//! thread keeps accepting: only shutdown ends it.
 //!
 //! ## The published-cut slot
 //!
@@ -16,8 +18,8 @@
 //! `Mutex<Arc<PublishedCut>>` — the lock is held
 //! only for the pointer swap/clone, never across a merge or a socket
 //! write, so it is uncontended in practice. `live_epoch` tracks the
-//! newest barrier epoch the ingest loop has completed; a cached query is
-//! served from the slot iff `live_epoch - cut.epoch ≤ max_epochs_stale`.
+//! newest published epoch; a cached query is served from the slot iff
+//! `live_epoch - cut.epoch ≤ max_epochs_stale`.
 //!
 //! ## Consistent queries without stalling ingest
 //!
@@ -45,7 +47,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tps_streams::wire::transport::{Connection, Listener, TcpConnection, TcpServerListener};
+use tps_streams::wire::transport::{poll_backoff, Connection, Listener, TcpServerListener};
 use tps_streams::wire::{reject, WireMessage};
 use tps_streams::QueryConsistency;
 
@@ -133,7 +135,7 @@ struct Shared {
     /// Merged report for the cut at a given epoch, computed at most once
     /// however many clients ask (merging is deterministic).
     memo: Mutex<Option<(u64, QueryReport)>>,
-    /// Newest barrier epoch the ingest loop has completed.
+    /// Newest published barrier epoch.
     live_epoch: AtomicU64,
     /// Set by [`QueryPlane::finish`]; the accept thread exits and late
     /// escalations are rejected instead of queued.
@@ -200,6 +202,25 @@ impl QueryPlane {
                 SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
             });
         }
+        let plane = Self::serve(listener, wake_addr, kind, seed, initial)?;
+        println!("query-listening {bound}");
+        io::stdout().flush()?;
+        Ok(plane)
+    }
+
+    /// Spawns the accept thread over `listener`, whose connections
+    /// `wake_addr` reaches.
+    fn serve<L>(
+        listener: L,
+        wake_addr: SocketAddr,
+        kind: SamplerKind,
+        seed: u64,
+        initial: PublishedCut,
+    ) -> io::Result<Self>
+    where
+        L: Listener + Send + 'static,
+        L::Conn: Send + 'static,
+    {
         let (requests_tx, requests_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             kind,
@@ -215,15 +236,12 @@ impl QueryPlane {
         let accept_thread = std::thread::Builder::new()
             .name("tps-query-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))?;
-        let plane = Self {
+        Ok(Self {
             shared,
             requests: requests_rx,
             accept_thread: Some(accept_thread),
             wake_addr,
-        };
-        println!("query-listening {bound}");
-        io::stdout().flush()?;
-        Ok(plane)
+        })
     }
 
     /// Publishes a consistent cut into the slot and advances the live
@@ -234,15 +252,6 @@ impl QueryPlane {
         *self.shared.slot.lock().expect("slot lock") = Arc::clone(&cut);
         self.shared.live_epoch.store(cut.epoch, Ordering::Release);
         cut
-    }
-
-    /// Records that the ingest loop completed a barrier at `epoch`
-    /// *without* publishing its cut (a plain checkpoint on a plane-less
-    /// path never calls this; a publishing path always prefers
-    /// [`Self::publish`]). Advancing the live epoch is what ages the
-    /// published slot for staleness bounds.
-    pub fn advance_epoch(&self, epoch: u64) {
-        self.shared.live_epoch.store(epoch, Ordering::Release);
     }
 
     /// Drains every consistent-cut demand that is waiting right now,
@@ -334,8 +343,16 @@ impl Drop for QueryPlane {
 
 /// The dedicated accept loop: parks in a blocking `accept` until a client
 /// dials (or shutdown dials to wake it); each accepted client gets a
-/// detached handler thread.
-fn accept_loop(mut listener: TcpServerListener, shared: Arc<Shared>) {
+/// detached handler thread. A failed `accept` costs one backoff sleep,
+/// so an error that repeats (a full descriptor table) cannot spin a core,
+/// and never ends the loop: only shutdown (or a transport out of
+/// connections) does.
+fn accept_loop<L>(mut listener: L, shared: Arc<Shared>)
+where
+    L: Listener,
+    L::Conn: Send + 'static,
+{
+    let mut backoff = Duration::ZERO;
     loop {
         let accepted = listener.accept();
         if shared.shutdown.load(Ordering::Acquire) {
@@ -343,6 +360,7 @@ fn accept_loop(mut listener: TcpServerListener, shared: Arc<Shared>) {
         }
         match accepted {
             Ok(Some(conn)) => {
+                backoff = Duration::ZERO;
                 let handler_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
                     .name("tps-query-handler".into())
@@ -353,8 +371,9 @@ fn accept_loop(mut listener: TcpServerListener, shared: Arc<Shared>) {
             }
             Ok(None) => return,
             Err(e) => {
-                eprintln!("query-plane: accept failed: {e}");
-                return;
+                backoff = poll_backoff(backoff);
+                eprintln!("query-plane: accept failed: {e}; retrying in {backoff:?}");
+                std::thread::sleep(backoff);
             }
         }
     }
@@ -362,15 +381,15 @@ fn accept_loop(mut listener: TcpServerListener, shared: Arc<Shared>) {
 
 /// Serves one client conversation end to end in its own thread. Errors
 /// are logged, never propagated — a broken client is its own problem.
-fn handle_client(mut conn: TcpConnection, shared: Arc<Shared>) {
+fn handle_client<C: Connection>(mut conn: C, shared: Arc<Shared>) {
     if let Err(e) = serve_one(&mut conn, &shared) {
         eprintln!("query-plane: client failed: {e}");
     }
 }
 
-fn serve_one(conn: &mut TcpConnection, shared: &Shared) -> io::Result<()> {
-    // Server-first Hello: the client learns the protocol version and the
-    // CACHED_QUERY capability bit before committing to its options.
+fn serve_one<C: Connection>(conn: &mut C, shared: &Shared) -> io::Result<()> {
+    // The client checks this Hello's protocol version and CACHED_QUERY
+    // bit before it trusts the reply; its query may already be queued.
     let live = shared.live_epoch.load(Ordering::Acquire);
     conn.send(&WireMessage::hello(0, live))?;
     let options = match conn.recv() {
@@ -490,14 +509,12 @@ mod tests {
         // The attach cut is served from the start.
         assert_eq!(plane.shared.load_slot().epoch, 1);
         assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), 1);
-        plane.publish(cut(4));
-        let held = plane.shared.load_slot();
-        assert_eq!(held.epoch, 4);
-        assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), 4);
-        // Advancing the epoch without publishing ages the slot.
-        plane.advance_epoch(9);
-        assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), 9);
-        assert_eq!(plane.shared.load_slot().epoch, 4);
+        for epoch in [4, 9] {
+            let published = plane.publish(cut(epoch));
+            assert_eq!(published.epoch, epoch);
+            assert_eq!(plane.shared.load_slot().epoch, epoch);
+            assert_eq!(plane.shared.live_epoch.load(Ordering::Acquire), epoch);
+        }
         plane.finish();
     }
 
@@ -519,7 +536,9 @@ mod tests {
     fn staleness_decision_matches_the_bound() {
         let plane = plane_for_test();
         plane.publish(cut(5));
-        plane.advance_epoch(8);
+        // The live epoch three barriers on, set directly: every barrier
+        // that moves it also publishes.
+        plane.shared.live_epoch.store(8, Ordering::Release);
         let live = plane.shared.live_epoch.load(Ordering::Acquire);
         let slot = plane.shared.load_slot();
         // live - cut = 3: a bound of 3 serves the slot, a bound of 2
@@ -546,6 +565,48 @@ mod tests {
         // After shutdown, demands are refused instead of queued forever.
         let stats = plane.finish();
         assert_eq!(stats.served, 0, "no socket clients in this test");
+    }
+
+    /// A listener whose first `accept` fails the way accept(2) may
+    /// (`ECONNABORTED`: a queued connection was reset before it was
+    /// taken), then hands out real connections.
+    struct FailingOnce {
+        inner: TcpServerListener,
+        failed: bool,
+    }
+
+    impl Listener for FailingOnce {
+        type Conn = <TcpServerListener as Listener>::Conn;
+
+        fn accept(&mut self) -> io::Result<Option<Self::Conn>> {
+            if !self.failed {
+                self.failed = true;
+                return Err(io::ErrorKind::ConnectionAborted.into());
+            }
+            self.inner.accept()
+        }
+    }
+
+    #[test]
+    fn accept_loop_survives_a_failed_accept() {
+        use tps_streams::wire::transport::tcp_connect;
+
+        let inner = TcpServerListener::bind("127.0.0.1:0").unwrap();
+        let addr = inner.local_addr().unwrap();
+        let listener = FailingOnce {
+            inner,
+            failed: false,
+        };
+        let plane = QueryPlane::serve(listener, addr, SamplerKind::L2, 7, cut(3)).unwrap();
+        // The first accept fails before this client is taken; the loop
+        // must keep accepting and serve it (server-first Hello).
+        let mut client = tcp_connect(addr).unwrap();
+        match client.recv().unwrap() {
+            Some(WireMessage::Hello { resume_epoch, .. }) => assert_eq!(resume_epoch, 3),
+            other => panic!("expected the plane's hello, got {other:?}"),
+        }
+        drop(client);
+        plane.finish();
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! rebased); on a `Query` barrier ack with the full sealed snapshot; on a
 //! `CheckpointPublish` barrier do both — the checkpoint frame goes to
 //! disk *and* the ack carries the snapshot, feeding the coordinator's
-//! query-plane snapshot cache in the same round. The
+//! query-plane snapshot cache in the same round; on a `Sync` barrier ack
+//! at once with no snapshot and no disk write (the coordinator's credit
+//! window: it ships this worker's next chunk only after that ack). The
 //! worker never sees the stream outside its shard and never touches the
 //! golden-corpus registry: its entire interface is the connection and the
 //! chain file.
@@ -20,8 +22,8 @@
 //! Crucially, each new connection starts from the **on-disk chain**, not
 //! from whatever in-memory state the previous connection accumulated —
 //! un-checkpointed work is deliberately discarded, because the replacement
-//! coordinator's replay buffers only cover chunks past the last durable
-//! checkpoint. Keeping the in-memory tail would double-count them.
+//! coordinator only re-sends chunks past the last durable checkpoint.
+//! Keeping the in-memory tail would double-count them.
 
 use std::io::{self, Write};
 
@@ -159,6 +161,7 @@ where
                         (kind == BarrierKind::CheckpointPublish).then(|| sampler.snapshot())
                     }
                     BarrierKind::Query => Some(sampler.snapshot()),
+                    BarrierKind::Sync => None,
                 };
                 conn.send(&WireMessage::BarrierAck {
                     shard: cfg.shard as u64,
@@ -469,6 +472,73 @@ mod tests {
         );
         // And the same barrier made the cut durable.
         assert_eq!(store.recover().unwrap().unwrap().epoch, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `Sync` barrier is flow control only: it is acked at once with no
+    /// snapshot, leaves nothing on the durable chain, and the shard's
+    /// state on either side of it is the same.
+    #[test]
+    fn sync_barrier_acks_bare_and_touches_no_state() {
+        let dir = temp_dir("sync");
+        let cfg = WorkerConfig {
+            shard: 0,
+            sampler: SamplerKind::L2,
+            universe: 1 << 12,
+            seed: 37,
+            checkpoint_dir: dir.clone(),
+            listen: None,
+        };
+        let store = CheckpointStore::for_shard(&dir, 0);
+        let _ = std::fs::remove_file(store.path());
+
+        let chunk: Vec<u64> = (0..4_000u64).map(|i| i % 89).collect();
+        let (done, out) = converse(
+            &cfg,
+            || make_l2(cfg.universe, cfg.seed, cfg.shard),
+            &[
+                WireMessage::Ingest {
+                    items: chunk.clone(),
+                },
+                WireMessage::Barrier {
+                    epoch: 1,
+                    kind: BarrierKind::Query,
+                },
+                WireMessage::Barrier {
+                    epoch: 7,
+                    kind: BarrierKind::Sync,
+                },
+                WireMessage::Barrier {
+                    epoch: 2,
+                    kind: BarrierKind::Query,
+                },
+                WireMessage::Shutdown,
+            ],
+        );
+        assert!(done);
+        let snapshot = |msg: &WireMessage| match msg {
+            WireMessage::BarrierAck {
+                snapshot: Some(bytes),
+                ..
+            } => bytes.clone(),
+            other => panic!("expected query ack, got {other:?}"),
+        };
+        assert_eq!(
+            out[2],
+            WireMessage::BarrierAck {
+                shard: 0,
+                epoch: 7,
+                snapshot: None,
+            }
+        );
+        assert_eq!(snapshot(&out[1]), snapshot(&out[3]), "sync moved the state");
+        let mut reference = make_l2(cfg.universe, cfg.seed, cfg.shard);
+        reference.update_batch(&chunk);
+        assert_eq!(snapshot(&out[3]), reference.snapshot());
+        assert!(
+            store.recover().unwrap().is_none(),
+            "sync appended a chain frame"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

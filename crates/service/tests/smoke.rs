@@ -29,14 +29,16 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Instant;
 
-use tps_service::config::{SamplerKind, ServiceBuilder, TransportKind};
+use tps_core::sharded::hash_route;
+use tps_service::config::{job_stream, SamplerKind, ServiceBuilder, TransportKind};
 use tps_service::coordinator::{run_reference, QueryReport};
+use tps_service::manifest::{Manifest, ShardState};
 use tps_service::store::CheckpointStore;
 use tps_service::JobSpec;
-use tps_streams::codec::delta::{peek_frame, FrameKind};
+use tps_streams::codec::delta::{peek_frame, CheckpointReplayer, FrameKind};
 use tps_streams::wire::transport::{tcp_framed, Connection};
 use tps_streams::wire::WireMessage;
-use tps_streams::QueryOptions;
+use tps_streams::{Item, QueryOptions};
 
 fn service_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_tps-service"))
@@ -367,6 +369,79 @@ fn killed_coordinator_resumes_byte_identically_over_tcp_mid_barrier() {
         run_reference(&calm_spec),
         "both drifted from reference"
     );
+}
+
+/// The coordinator records replay by stream position and re-routes the
+/// parts when it persists, so every manifest it writes must encode to
+/// exactly the bytes of the owned-replay manifest for the same cut —
+/// with and without a worker restart rebuilding one shard's record.
+/// Compaction keeps only a chain's newest manifests, so coordinators
+/// killed at earlier chunks supply earlier cuts.
+#[test]
+fn manifests_match_owned_replay_manifests_byte_for_byte() {
+    let runs: [(&str, &[&str]); 4] = [
+        ("calm", &[]),
+        ("kill", &["--kill-shard", "1", "--kill-after-chunks", "11"]),
+        ("die-7", &["--die-after-chunks", "7"]),
+        ("die-20", &["--die-after-chunks", "20"]),
+    ];
+    for (label, extra) in runs {
+        let dir = JobDir::fresh(&format!("manifest-bytes-{label}"));
+        let spec = base_spec(SamplerKind::L2, dir.path(), false);
+        if label.starts_with("die") {
+            run_service_until_death(&spec, extra);
+        } else {
+            run_service(&spec, extra);
+        }
+
+        let stream = job_stream(spec.universe, spec.count, spec.seed);
+        let chunks: Vec<&[Item]> = stream.chunks(spec.chunk).collect();
+        // Barrier E is the checkpoint at chunk E·every (no query plane);
+        // the manifest written before it holds every chunk routed since
+        // barrier E−1 was sent, tagged E−1.
+        let owned = |epoch: u64| {
+            let every = spec.checkpoint_every;
+            let since = epoch.saturating_sub(1) * every..epoch * every;
+            Manifest::<Item> {
+                spec: spec.clone(),
+                epoch,
+                chunks_routed: epoch * every,
+                shards: (0..spec.workers)
+                    .map(|shard| ShardState {
+                        acked_epoch: epoch.saturating_sub(1),
+                        endpoint: None,
+                        replay: since
+                            .clone()
+                            .filter(|_| epoch > 0)
+                            .filter_map(|index| {
+                                let part: Vec<Item> = chunks[index as usize]
+                                    .iter()
+                                    .copied()
+                                    .filter(|&item| hash_route(item, spec.workers) == shard)
+                                    .collect();
+                                (!part.is_empty()).then_some((epoch - 1, part))
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+            }
+        };
+
+        let frames = CheckpointStore::for_coordinator(dir.path())
+            .load_frames()
+            .unwrap();
+        assert!(!frames.is_empty(), "{label}: empty coordinator chain");
+        let mut replayer = CheckpointReplayer::new();
+        for frame in &frames {
+            replayer.apply(frame).unwrap();
+            let (_, bytes) = replayer.current().unwrap();
+            let epoch = Manifest::<Item>::decode(bytes).unwrap().epoch;
+            assert!(
+                bytes == owned(epoch).encode().as_slice(),
+                "{label}: manifest at epoch {epoch} differs from the owned-replay manifest"
+            );
+        }
+    }
 }
 
 /// A client query served over TCP while ingest runs returns the

@@ -35,7 +35,9 @@
 //!
 //! ```text
 //! worker → coordinator   Hello { protocol, capabilities, shard, resume_epoch }
-//! coordinator → worker   Ingest { items } ...               (routed chunks)
+//! coordinator → worker   Ingest { items }                   (one routed chunk)
+//! coordinator → worker   Barrier { epoch: seq, kind: Sync } (its credit request)
+//! worker → coordinator   BarrierAck { shard, epoch: seq }   (the credit)
 //! coordinator → worker   Barrier { epoch, kind }
 //! worker → coordinator   BarrierAck { shard, epoch, snapshot? }
 //! coordinator → worker   Shutdown                           (clean exit)
@@ -53,14 +55,20 @@
 //! full sealed snapshot in the ack, for restore-and-merge at the
 //! coordinator; a `CheckpointPublish` barrier does both — one barrier
 //! round feeds the on-disk chain *and* the query plane's snapshot cache.
-//! `Hello::resume_epoch` reports the checkpoint epoch a restarted worker
-//! recovered to (`0` = fresh start), which tells the coordinator exactly
-//! which buffered chunks to re-send.
+//! A `Sync` barrier is flow control, not a cut: the worker acks it at once
+//! with no snapshot, and the coordinator ships a worker's next chunk only
+//! once every earlier `Sync` is acked, so at most one chunk is ever
+//! unacknowledged on a link. Its `epoch` field is a per-link sequence
+//! number, not a job epoch. `Hello::resume_epoch` reports the checkpoint
+//! epoch a restarted worker recovered to (`0` = fresh start), which tells
+//! the coordinator exactly which chunks to re-send.
 //!
-//! On the query plane the roles flip: the *server* leads with its `Hello`
-//! (so a client can check the [`caps::CACHED_QUERY`] bit before asking
-//! for a cached answer), the client sends one [`WireMessage::Query`]
-//! carrying its typed [`QueryOptions`], and the server answers with a
+//! On the query plane the roles flip: the *server* sends the `Hello` (so a
+//! client can check the [`caps::CACHED_QUERY`] bit before trusting a
+//! cached answer), the client sends one [`WireMessage::Query`] carrying
+//! its typed [`QueryOptions`] — without waiting for that `Hello`, so a
+//! connection the server dropped surfaces as a reset instead of a silent
+//! wait — and the server answers with a
 //! [`WireMessage::QueryReply`] pinned to the cut that produced it — or a
 //! typed [`WireMessage::QueryRejected`] when it cannot.
 //!
@@ -120,11 +128,14 @@ pub mod caps {
     /// The query plane serves [`super::QueryConsistency::Cached`] queries
     /// from its published snapshot cache. Announced by the coordinator's
     /// server-side `Hello` on query-plane connections; a client asking
-    /// for a cached answer checks this bit before sending its request.
+    /// for a cached answer checks this bit before trusting the reply.
     pub const CACHED_QUERY: u64 = 1 << 2;
+    /// The worker acks [`super::BarrierKind::Sync`] barriers, the
+    /// coordinator's one-chunk credit window on every ingest link.
+    pub const CREDIT: u64 = 1 << 3;
 
     /// Every capability this build implements.
-    pub const ALL: u64 = SIGNED_INGEST | QUERY | CACHED_QUERY;
+    pub const ALL: u64 = SIGNED_INGEST | QUERY | CACHED_QUERY | CREDIT;
 }
 
 /// Hard cap on a single wire message (prefix-declared), validated before
@@ -155,6 +166,10 @@ pub enum BarrierKind {
     /// checkpoint barrier also feeds the published snapshot cache in the
     /// same round.
     CheckpointPublish,
+    /// Ack at once with no snapshot: a flow-control credit. It appends no
+    /// checkpoint frame, and its `epoch` is the link's sequence number,
+    /// not a job epoch.
+    Sync,
 }
 
 /// One control message of the coordinator↔worker protocol.
@@ -376,7 +391,7 @@ pub trait IngestPayload: StreamUpdate {
 
 impl IngestPayload for Item {
     const WIRE_BYTES: usize = 8;
-    const REQUIRED_CAPS: u64 = caps::QUERY;
+    const REQUIRED_CAPS: u64 = caps::QUERY | caps::CREDIT;
 
     fn into_ingest(chunk: Vec<Self>) -> WireMessage {
         WireMessage::Ingest { items: chunk }
@@ -400,7 +415,7 @@ impl IngestPayload for Item {
 
 impl IngestPayload for SignedUpdate {
     const WIRE_BYTES: usize = 16;
-    const REQUIRED_CAPS: u64 = caps::QUERY | caps::SIGNED_INGEST;
+    const REQUIRED_CAPS: u64 = caps::QUERY | caps::SIGNED_INGEST | caps::CREDIT;
 
     fn into_ingest(chunk: Vec<Self>) -> WireMessage {
         WireMessage::IngestSigned { updates: chunk }
@@ -560,6 +575,7 @@ fn build_frame(msg: &WireMessage, prefix: usize) -> Vec<u8> {
                 BarrierKind::Checkpoint => 0,
                 BarrierKind::Query => 1,
                 BarrierKind::CheckpointPublish => 2,
+                BarrierKind::Sync => 3,
             });
         }
         WireMessage::BarrierAck {
@@ -669,10 +685,11 @@ pub fn decode_message(frame: &[u8]) -> Result<WireMessage, CodecError> {
                 0 => BarrierKind::Checkpoint,
                 1 => BarrierKind::Query,
                 2 => BarrierKind::CheckpointPublish,
+                3 => BarrierKind::Sync,
                 _ => {
                     return Err(CodecError::InvalidValue {
-                        what: "barrier kind must be 0 (checkpoint), 1 (query) \
-                               or 2 (checkpoint+publish)",
+                        what: "barrier kind must be 0 (checkpoint), 1 (query), \
+                               2 (checkpoint+publish) or 3 (sync)",
                     })
                 }
             };
@@ -906,6 +923,10 @@ mod tests {
                 epoch: 11,
                 kind: BarrierKind::CheckpointPublish,
             },
+            WireMessage::Barrier {
+                epoch: 12,
+                kind: BarrierKind::Sync,
+            },
             WireMessage::BarrierAck {
                 shard: 1,
                 epoch: 9,
@@ -1002,7 +1023,8 @@ mod tests {
             .collect();
         let hello = WireMessage::Hello {
             protocol: 2,
-            capabilities: caps::ALL,
+            // Every capability a v2 build implemented.
+            capabilities: caps::SIGNED_INGEST | caps::QUERY | caps::CACHED_QUERY,
             shard: 1,
             resume_epoch: 5,
         };
@@ -1140,6 +1162,22 @@ mod tests {
                 missing: caps::SIGNED_INGEST
             })
         ));
+        // A worker without the credit window cannot be shipped either
+        // update type.
+        let creditless = WireMessage::Hello {
+            protocol: WIRE_PROTOCOL_VERSION,
+            capabilities: caps::ALL & !caps::CREDIT,
+            shard: 0,
+            resume_epoch: 0,
+        };
+        for required in [Item::REQUIRED_CAPS, SignedUpdate::REQUIRED_CAPS] {
+            assert!(matches!(
+                check_hello(&creditless, required),
+                Err(WireError::CapabilityMissing {
+                    missing: caps::CREDIT
+                })
+            ));
+        }
         // A non-Hello message is rejected outright.
         assert!(check_hello(&WireMessage::Shutdown, 0).is_err());
     }
