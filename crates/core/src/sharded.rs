@@ -384,29 +384,6 @@ pub struct ShardedSampler<S, U: StreamUpdate = Item> {
 // coordinator half is unique by construction.
 unsafe impl<S: Send, U: StreamUpdate> Send for ShardedSampler<S, U> {}
 
-impl<S> ShardedSampler<S>
-where
-    S: MergeableSampler + UpdateSampler<Item> + Clone + Send + Snapshot + Restore + 'static,
-{
-    /// Creates a sharded sampler with `shards` instances built by
-    /// `factory(shard_index)` and every other knob at its default.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ShardedSampler::builder(shards) and its named setters"
-    )]
-    pub fn new(
-        shards: usize,
-        strategy: ShardingStrategy,
-        seed: u64,
-        factory: impl FnMut(usize) -> S,
-    ) -> Self {
-        Self::builder(shards)
-            .strategy(strategy)
-            .seed(seed)
-            .build(factory)
-    }
-}
-
 impl<S, U> ShardedSampler<S, U>
 where
     S: MergeableSampler + UpdateSampler<U> + Clone + Send + Snapshot + Restore + 'static,
@@ -1253,25 +1230,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         let _ = sharded_l2(0, ShardingStrategy::Hash, 1);
-    }
-
-    /// The deprecated positional constructor is a thin wrapper: it builds
-    /// the same sampler (same snapshot bytes) as the builder with matching
-    /// settings — the pin that keeps pre-builder goldens valid.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_equals_builder() {
-        let factory =
-            |idx: usize| TrulyPerfectLpSampler::new(2.0, 512, 0.1, 7 ^ ((idx as u64) << 32));
-        let mut via_new = ShardedSampler::new(3, ShardingStrategy::RoundRobin, 7, factory);
-        let mut via_builder = ShardedSamplerBuilder::new(3)
-            .strategy(ShardingStrategy::RoundRobin)
-            .seed(7)
-            .build(factory);
-        let stream = zipfish_stream(2_000, 31);
-        via_new.update_batch(&stream);
-        via_builder.update_batch(&stream);
-        assert_eq!(via_new.snapshot(), via_builder.snapshot());
     }
 
     /// The ingest configuration survives the snapshot round trip (new in

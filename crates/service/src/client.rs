@@ -1,10 +1,7 @@
 //! The query-plane client: dial a coordinator's query listener, ask for
 //! a merged sample at a chosen consistency level, get a typed answer
-//! back. [`QueryClient`] is the builder-first surface (connect timeout,
-//! dial retry with backoff, read timeout, typed [`QueryError`]); the old
-//! bare [`query`] function survives as a deprecated thin wrapper, the
-//! same migration path `ShardedSampler::new` → builder took in
-//! `tps_core`.
+//! back. [`QueryClient`] is the one client surface (connect timeout,
+//! dial retry with backoff, read timeout, typed [`QueryError`]).
 //!
 //! The plane leads with its `Hello`, and the client verifies the protocol
 //! version and — for cached queries — the [`caps::CACHED_QUERY`]
@@ -84,17 +81,6 @@ impl std::fmt::Display for QueryError {
 }
 
 impl std::error::Error for QueryError {}
-
-impl From<QueryError> for io::Error {
-    fn from(e: QueryError) -> Self {
-        match e {
-            QueryError::Io(inner) => inner,
-            QueryError::Dial { last, .. } => last,
-            QueryError::Timeout { .. } => io::Error::new(io::ErrorKind::TimedOut, e.to_string()),
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
 
 /// Builder-first client for the coordinator's query plane.
 ///
@@ -275,20 +261,6 @@ impl QueryClient {
     }
 }
 
-/// Sends one consistent-cut query to the coordinator listening at `addr`
-/// and returns the bare report.
-#[deprecated(
-    since = "0.2.0",
-    note = "use QueryClient::new(addr).query(&QueryOptions::consistent()) — typed errors, \
-            timeouts, retry, and cached-mode queries"
-)]
-pub fn query(addr: &str) -> io::Result<QueryReport> {
-    QueryClient::new(addr)
-        .query(&QueryOptions::consistent())
-        .map(|snapshot| snapshot.value)
-        .map_err(io::Error::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,13 +276,6 @@ mod tests {
             Err(QueryError::Dial { attempts: 2, .. }) => {}
             other => panic!("expected a dial error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn deprecated_wrapper_maps_to_io_error() {
-        #[allow(deprecated)]
-        let result = query("127.0.0.1:1");
-        assert!(result.is_err());
     }
 
     /// The client's query goes out before the plane's `Hello` arrives: a

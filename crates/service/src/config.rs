@@ -144,14 +144,16 @@ const DELETE_SALT: u64 = 0xD31E_7E00_0000_0001;
 pub fn job_signed_stream(universe: u64, count: usize, seed: u64) -> Vec<SignedUpdate> {
     let items = job_stream(universe, count, seed);
     let mut coins = Xoshiro256::seed_from_u64(seed ^ STREAM_SALT ^ DELETE_SALT);
-    let mut live: std::collections::HashMap<Item, i64> = std::collections::HashMap::new();
+    // Live count per item; every Zipf item is below `universe`.
+    let mut live = vec![0i64; universe as usize];
     items
         .into_iter()
         .map(|item| {
-            let entry = live.entry(item).or_insert(0);
-            let delete = *entry > 0 && coins.next_u64().is_multiple_of(4);
+            let live_count = &mut live[item as usize];
+            // A delete coin is drawn only for an item with positive count.
+            let delete = *live_count > 0 && coins.next_u64().is_multiple_of(4);
             let delta = if delete { -1 } else { 1 };
-            *entry += delta;
+            *live_count += delta;
             SignedUpdate { item, delta }
         })
         .collect()
@@ -271,6 +273,9 @@ impl JobSpec {
     pub fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
             return Err("need at least one worker".into());
+        }
+        if self.universe == 0 {
+            return Err("universe must be non-empty".into());
         }
         if self.chunk == 0 {
             return Err("chunk size must be positive".into());
@@ -560,6 +565,39 @@ mod tests {
         assert!(max > (a.len() as u64) / 100, "workload not skewed");
     }
 
+    /// The job workloads are frozen: coordinator resume and worker replay
+    /// regenerate them and check the result against manifests written
+    /// earlier, so these checksums of the little-endian stream bytes must
+    /// never move.
+    #[test]
+    fn job_streams_are_frozen() {
+        use tps_streams::codec::checksum;
+        for (seed, items_fnv, signed_fnv) in [
+            (0, 0x9a4c_5101_6776_a7c0, 0x3cfe_ef22_4112_41dd),
+            (101, 0xd92f_79a5_659b_5d8b, 0xdc83_0288_fc62_2e4e),
+        ] {
+            let items: Vec<u8> = job_stream(4096, 1 << 20, seed)
+                .iter()
+                .flat_map(|item| item.to_le_bytes())
+                .collect();
+            let signed: Vec<u8> = job_signed_stream(4096, 1 << 20, seed)
+                .iter()
+                .flat_map(|u| {
+                    u.item
+                        .to_le_bytes()
+                        .into_iter()
+                        .chain(u.delta.to_le_bytes())
+                })
+                .collect();
+            assert_eq!(checksum(&items), items_fnv, "job_stream, seed {seed}");
+            assert_eq!(
+                checksum(&signed),
+                signed_fnv,
+                "job_signed_stream, seed {seed}"
+            );
+        }
+    }
+
     #[test]
     fn f0_shards_share_a_seed_and_reservoirs_do_not() {
         assert_ne!(shard_seed(9, 0), shard_seed(9, 1));
@@ -608,6 +646,10 @@ mod tests {
     #[test]
     fn builder_rejects_bad_specs() {
         assert!(ServiceBuilder::new(SamplerKind::L2, 0).build().is_err());
+        assert_eq!(
+            ServiceBuilder::new(SamplerKind::L2, 2).universe(0).build(),
+            Err("universe must be non-empty".to_string())
+        );
         assert!(ServiceBuilder::new(SamplerKind::L2, 2)
             .chunk(0)
             .build()

@@ -1088,8 +1088,9 @@ pub fn resume_job(
 
 /// The single-process reference: an in-process sharded sampler over the
 /// identical stream, queried once. Its report must equal the service's —
-/// that equality is the distributed correctness gate.
-pub fn run_reference(spec: &JobSpec) -> QueryReport {
+/// that equality is the distributed correctness gate. An invalid spec
+/// fails typed, as it does for [`run_job`].
+pub fn run_reference(spec: &JobSpec) -> io::Result<QueryReport> {
     fn typed<S, U>(
         spec: &JobSpec,
         stream: &[U],
@@ -1113,7 +1114,8 @@ pub fn run_reference(spec: &JobSpec) -> QueryReport {
             sample: describe(merged.draw()),
         }
     }
-    match spec.sampler {
+    spec.validate().map_err(invalid)?;
+    Ok(match spec.sampler {
         SamplerKind::L2 => typed(
             spec,
             &job_stream(spec.universe, spec.count, spec.seed),
@@ -1134,7 +1136,7 @@ pub fn run_reference(spec: &JobSpec) -> QueryReport {
             &job_signed_stream(spec.universe, spec.count, spec.seed),
             |b| b.build_turnstile(|shard| make_turnstile(spec.universe, spec.seed, shard)),
         ),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1165,12 +1167,18 @@ mod tests {
             .checkpoint_dir(std::env::temp_dir())
             .build()
             .unwrap();
-        let a = run_reference(&spec);
-        let b = run_reference(&spec);
+        let a = run_reference(&spec).unwrap();
+        let b = run_reference(&spec).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.processed, 30_000);
+        let empty = JobSpec {
+            universe: 0,
+            ..spec.clone()
+        };
+        let err = run_reference(&empty).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let other = JobSpec { seed: 6, ..spec };
-        assert_ne!(a.merged_fnv, run_reference(&other).merged_fnv);
+        assert_ne!(a.merged_fnv, run_reference(&other).unwrap().merged_fnv);
     }
 
     /// The credit window over a real socket: a scripted worker that holds

@@ -155,6 +155,9 @@ fn run() -> Result<(), String> {
                 checkpoint_dir: flags.required("checkpoint-dir")?,
                 listen: flags.optional("listen")?,
             };
+            if cfg.universe == 0 {
+                return Err("universe must be non-empty".into());
+            }
             worker::run(&cfg).map_err(|e| format!("worker {}: {e}", cfg.shard))
         }
         Some("coordinator") => {
@@ -177,7 +180,8 @@ fn run() -> Result<(), String> {
         Some("reference") => {
             let flags = Flags::parse(&args[1..])?;
             let spec = build_spec(&flags, true)?;
-            println!("{}", coordinator::run_reference(&spec));
+            let report = coordinator::run_reference(&spec).map_err(|e| e.to_string())?;
+            println!("{report}");
             Ok(())
         }
         Some("query") => {

@@ -219,7 +219,7 @@ fn service_matches_single_process_reference_for_every_kind() {
         let dir = JobDir::fresh(&format!("ref-{}", kind.as_str()));
         let spec = base_spec(kind, dir.path(), false);
         let service = run_service(&spec, &[]);
-        let reference = run_reference(&spec);
+        let reference = run_reference(&spec).unwrap();
         assert_eq!(
             service,
             reference,
@@ -258,7 +258,7 @@ fn killed_worker_recovers_byte_identically_over_both_transports() {
         );
         assert_eq!(
             calm,
-            run_reference(&calm_spec),
+            run_reference(&calm_spec).unwrap(),
             "{label}: both drifted from reference"
         );
 
@@ -304,7 +304,7 @@ fn killed_turnstile_worker_recovers_byte_identically() {
     );
     assert_eq!(
         calm,
-        run_reference(&calm_spec),
+        run_reference(&calm_spec).unwrap(),
         "turnstile service drifted from reference"
     );
 }
@@ -333,7 +333,7 @@ fn killed_coordinator_resumes_byte_identically_over_pipes() {
     );
     assert_eq!(
         calm,
-        run_reference(&calm_spec),
+        run_reference(&calm_spec).unwrap(),
         "both drifted from reference"
     );
 }
@@ -366,7 +366,7 @@ fn killed_coordinator_resumes_byte_identically_over_tcp_mid_barrier() {
     );
     assert_eq!(
         calm,
-        run_reference(&calm_spec),
+        run_reference(&calm_spec).unwrap(),
         "both drifted from reference"
     );
 }
@@ -505,7 +505,7 @@ fn mid_ingest_query_returns_consistent_cut_without_stopping_ingest() {
     // …and neither the barrier nor the off-path merge perturbed state.
     assert_eq!(
         fin,
-        run_reference(&spec),
+        run_reference(&spec).unwrap(),
         "final report after a mid-ingest query drifted from the reference"
     );
 }
@@ -579,7 +579,7 @@ fn first_cached_query_is_served_from_the_attach_cut() {
     assert_eq!(consistent.processed, 2 * spec.chunk as u64);
     assert_eq!(
         finish_coordinator(coordinator, stdout),
-        run_reference(&spec)
+        run_reference(&spec).unwrap()
     );
 }
 
@@ -644,7 +644,7 @@ fn stalled_query_clients_do_not_stall_ingest_on_either_transport() {
         );
         assert_eq!(
             fin,
-            run_reference(&spec),
+            run_reference(&spec).unwrap(),
             "{label}: final report drifted from the reference"
         );
         drop(silent);
@@ -743,7 +743,7 @@ fn concurrent_queries_mid_ingest_all_get_valid_cuts() {
     assert_eq!(fin.processed, spec.count as u64);
     assert_eq!(
         fin,
-        run_reference(&spec),
+        run_reference(&spec).unwrap(),
         "final report after concurrent queries drifted from the reference"
     );
 
@@ -766,5 +766,41 @@ fn concurrent_queries_mid_ingest_all_get_valid_cuts() {
         std::fs::write(Path::new(&root).join("query_latency.json"), json)
             .expect("latency artifact writes");
         eprintln!("smoke: wrote query_latency.json");
+    }
+}
+
+/// An empty universe is a bad flag, not a bug: the job commands and the
+/// worker exit with the validation message and status 1, never with a
+/// panic.
+#[test]
+fn empty_universe_fails_typed_from_the_cli() {
+    let dir = JobDir::fresh("empty-universe");
+    let mut spec = base_spec(SamplerKind::L2, dir.path(), false);
+    spec.universe = 0;
+    let reference = Command::new(service_exe())
+        .args(["reference", "--sampler", "l2", "--workers", "2"])
+        .args(["--universe", "0", "--seed", "1", "--count", "100"])
+        .output()
+        .expect("reference runs");
+    let coordinator = coordinator_cmd(&spec, &[])
+        .output()
+        .expect("coordinator runs");
+    let worker = Command::new(service_exe())
+        .args(["worker", "--shard", "0", "--sampler", "l2"])
+        .args(["--universe", "0", "--seed", "1", "--checkpoint-dir"])
+        .arg(dir.path())
+        .output()
+        .expect("worker runs");
+    for (label, output) in [
+        ("reference", reference),
+        ("coordinator", coordinator),
+        ("worker", worker),
+    ] {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{label}: {stderr}");
+        assert!(
+            stderr.contains("universe must be non-empty") && !stderr.contains("panicked"),
+            "{label}: {stderr}"
+        );
     }
 }

@@ -18,32 +18,95 @@ pub fn uniform_stream<R: StreamRng>(rng: &mut R, n: u64, m: usize) -> Vec<Item> 
     (0..m).map(|_| rng.gen_range(n)).collect()
 }
 
+/// A Zipf(α) distribution over `[n]` (item `i` has probability
+/// ∝ `1/(i+1)^α`), tabulated once for O(1) expected-time exact draws.
+///
+/// A draw maps one `next_f64` onto the running-sum CDF and returns the
+/// first index `i` with `cdf[i] ≥ target`, clamped to `n − 1`: the exact
+/// inverse CDF. On a strictly increasing CDF (every α ≤ 2 up to n = 2²⁰,
+/// which covers every workload in this workspace) that is the index
+/// `binary_search_by` finds, so those streams are bit-for-bit the streams
+/// a per-update binary search over the CDF gives.
+///
+/// The search is a guide table (Chen–Asau inversion): with
+/// `bucket(x) = min(⌊x · n / total⌋, n − 1)`, `guide[b]` counts the
+/// indices whose CDF entry falls in a bucket below `b`. Scaling by a
+/// positive constant and flooring are both monotone (in floating point
+/// too), so every `i < guide[bucket(target)]` has `cdf[i] < target`, and a
+/// forward scan from there stops at the first index with `cdf[i] ≥ target`.
+/// The argument needs only a non-decreasing CDF, so steep or long tables
+/// whose terms fall below half an ulp of the running total (α = 60, say)
+/// are still drawn exactly; a tied run answers with its first index.
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    cdf: Vec<f64>,
+    total: f64,
+    /// `n / total`: maps a CDF value onto its bucket.
+    scale: f64,
+    /// First index of each bucket.
+    guide: Vec<usize>,
+}
+
+impl Zipf {
+    /// Tabulates Zipf(`alpha`) over `[n]`: 16 bytes per item (CDF and
+    /// guide), built in O(n).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `alpha` is negative or NaN.
+    pub fn new(n: u64, alpha: f64) -> Self {
+        assert!(n > 0, "universe must be non-empty");
+        assert!(alpha >= 0.0, "zipf exponent must be non-negative");
+        let n = usize::try_from(n).expect("universe fits in memory");
+        let mut cdf = Vec::with_capacity(n);
+        let mut total = 0.0f64;
+        for i in 0..n {
+            total += 1.0 / ((i + 1) as f64).powf(alpha);
+            cdf.push(total);
+        }
+        let mut zipf = Zipf {
+            cdf,
+            total,
+            scale: n as f64 / total,
+            guide: Vec::with_capacity(n),
+        };
+        let mut i = 0;
+        for b in 0..n {
+            while i < n && zipf.bucket(zipf.cdf[i]) < b {
+                i += 1;
+            }
+            zipf.guide.push(i);
+        }
+        zipf
+    }
+
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(self.cdf.len() - 1)
+    }
+
+    /// Draws one item, consuming exactly one `next_f64` from `rng`.
+    pub fn draw<R: StreamRng>(&self, rng: &mut R) -> Item {
+        let target = rng.next_f64() * self.total;
+        let last = self.cdf.len() - 1;
+        let mut i = self.guide[self.bucket(target)];
+        while i < last && self.cdf[i] < target {
+            i += 1;
+        }
+        i as Item
+    }
+}
+
 /// Generates a stream of `m` updates drawn i.i.d. from a Zipf(α)
 /// distribution over `[n]` (item `i` has probability ∝ `1/(i+1)^α`).
 ///
 /// Zipfian streams are the standard stand-in for skewed network / text
 /// workloads; they exercise the heavy-hitter-dominated regime in which the
-/// `L_p` samplers for `p > 1` concentrate on few items.
+/// `L_p` samplers for `p > 1` concentrate on few items. The draws come
+/// from one [`Zipf`] table: each item is the exact inverse CDF of one
+/// `next_f64`, so a given `(rng, n, m, α)` always yields the same stream.
 pub fn zipfian_stream<R: StreamRng>(rng: &mut R, n: u64, m: usize, alpha: f64) -> Vec<Item> {
-    assert!(n > 0, "universe must be non-empty");
-    assert!(alpha >= 0.0, "zipf exponent must be non-negative");
-    // Build the CDF once; n is at most a few million in the experiments.
-    let mut cdf = Vec::with_capacity(n as usize);
-    let mut total = 0.0f64;
-    for i in 0..n {
-        total += 1.0 / ((i + 1) as f64).powf(alpha);
-        cdf.push(total);
-    }
-    (0..m)
-        .map(|_| {
-            let target = rng.next_f64() * total;
-            // Binary search the CDF.
-            match cdf.binary_search_by(|probe| probe.partial_cmp(&target).unwrap()) {
-                Ok(idx) => idx as u64,
-                Err(idx) => (idx as u64).min(n - 1),
-            }
-        })
-        .collect()
+    let zipf = Zipf::new(n, alpha);
+    (0..m).map(|_| zipf.draw(rng)).collect()
 }
 
 /// Generates a stream where `heavy_count` designated items receive
@@ -271,6 +334,58 @@ mod tests {
             v.get(0),
             v.get(100)
         );
+    }
+
+    /// The per-update binary search `zipfian_stream` used before the
+    /// guide table. Its answer is the inverse CDF only on a strictly
+    /// increasing CDF; on a tied run it may return any index of the run.
+    fn binary_search_draw(cdf: &[f64], target: f64) -> usize {
+        match cdf.binary_search_by(|probe| probe.partial_cmp(&target).unwrap()) {
+            Ok(idx) => idx,
+            Err(idx) => idx.min(cdf.len() - 1),
+        }
+    }
+
+    /// The inverse CDF on any non-decreasing CDF: the first index with
+    /// `cdf[i] ≥ target`, clamped to the last item.
+    fn first_index_draw(cdf: &[f64], target: f64) -> usize {
+        cdf.partition_point(|&c| c < target).min(cdf.len() - 1)
+    }
+
+    #[test]
+    fn zipf_draws_are_the_exact_inverse_cdf() {
+        const DRAWS: usize = 20_000;
+        for n in [1u64, 2, 3, 10, 256, 1000, 4096, 65_536, 1 << 20] {
+            for alpha in [
+                0.0, 0.5, 1.0, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 8.0, 60.0, 400.0,
+            ] {
+                let zipf = Zipf::new(n, alpha);
+                // α = 60 and 400 repeat CDF entries from item 1 on (α = 8
+                // from about item 100, α = 3 from about 2·10⁵); α ≤ 2
+                // tables are strictly increasing, so there the binary
+                // search has one answer and the draws must equal it.
+                let strict = zipf.cdf.windows(2).all(|w| w[0] < w[1]);
+                if alpha <= 2.0 {
+                    assert!(strict, "n={n} alpha={alpha}");
+                }
+                if n > 1 && alpha >= 60.0 {
+                    assert!(!strict, "n={n} alpha={alpha}");
+                }
+                for seed in 0..4 {
+                    let (mut rng, mut reference) = (default_rng(seed), default_rng(seed));
+                    for _ in 0..DRAWS {
+                        let drawn = zipf.draw(&mut rng) as usize;
+                        let target = reference.next_f64() * zipf.total;
+                        let expected = first_index_draw(&zipf.cdf, target);
+                        assert_eq!(drawn, expected, "n={n} alpha={alpha} target={target}");
+                        if strict {
+                            let searched = binary_search_draw(&zipf.cdf, target);
+                            assert_eq!(drawn, searched, "n={n} alpha={alpha} target={target}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
