@@ -49,8 +49,9 @@
 //!   query-time merging (`tps_streams::MergeableSampler`).
 //! * [`runtime`] — the persistent sharded runtime underneath [`sharded`]:
 //!   one long-lived worker thread per shard behind a bounded SPSC command
-//!   ring, with configurable backpressure and consistent-cut snapshot
-//!   barriers for snapshot-isolated queries.
+//!   ring, blocking flow control (a full ring parks the sender; no chunk
+//!   is ever dropped) and consistent-cut snapshot barriers for
+//!   snapshot-isolated queries.
 //!
 //! ## Quick example
 //!

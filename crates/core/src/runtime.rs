@@ -20,14 +20,13 @@
 //!   restore-then-merge ≡ in-process-merge law the answer is byte-identical
 //!   to merging live clones, but ingest only stalls for the (cheap,
 //!   per-shard) serialisation, never for the merge.
-//! * **Backpressure policy.** When a ring is full the pool either blocks
-//!   the caller ([`Backpressure::Block`]), spills the chunk to a
-//!   coordinator-side queue retried later ([`Backpressure::Spill`]) — which
-//!   keeps ingest calls non-blocking even while workers are busy
-//!   snapshotting — or sheds it outright ([`Backpressure::Fail`]), keeping
-//!   both latency and memory bounded at the cost of sampling only the
-//!   admitted sub-stream. Every policy's pressure events are counted in
-//!   [`RuntimeStats`] so front-ends can observe instead of flying blind.
+//! * **Blocking flow control.** Each ring holds a fixed handful of
+//!   chunks; when a shard's ring is full, [`ShardPool::send`] blocks the
+//!   caller until that worker drains a slot. Every routed chunk is
+//!   delivered — a truly perfect sampler must answer for the whole stream,
+//!   not an admitted sub-stream — and coordinator memory stays bounded by
+//!   the ring capacity times the chunk size per shard. Parking events are
+//!   counted in [`RuntimeStats`] so front-ends can observe the pressure.
 //!
 //! ## Ownership and safety model
 //!
@@ -47,55 +46,30 @@
 //!   data again. A worker panic is re-raised on the coordinator thread at
 //!   the next barrier (or at drop), never swallowed.
 
-use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tps_streams::codec::Snapshot;
-use tps_streams::spsc::{self, Backpressure, Consumer, Producer, PushError};
+use tps_streams::spsc::{self, Consumer, Producer, PushError};
 use tps_streams::{Item, StreamUpdate, UpdateSampler};
 
-/// Tuning knobs for [`ShardPool::start`].
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeConfig {
-    /// What to do when a shard's command ring is full.
-    pub backpressure: Backpressure,
-    /// Commands buffered per shard ring (rounded up to a power of two).
-    pub ring_capacity: usize,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        Self {
-            backpressure: Backpressure::Block,
-            // 8 in-flight chunks per shard: enough to ride out scheduling
-            // hiccups, small enough that Block-mode memory stays bounded.
-            ring_capacity: 8,
-        }
-    }
-}
+/// Commands buffered per shard ring: enough in-flight chunks to ride out
+/// scheduling hiccups, few enough that blocked-ingest memory stays bounded.
+const RING_CAPACITY: usize = 8;
 
 /// Pressure and throughput counters for a [`ShardPool`] (cumulative over
 /// the pool's lifetime, summed across shards). Cheap to read — plain
 /// coordinator-side integers, no atomics, no barrier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Chunks accepted for delivery (pushed to a ring or parked for
-    /// guaranteed later delivery). Excludes shed chunks.
+    /// Chunks delivered to a shard ring.
     pub chunks: u64,
-    /// Times an ingest call found a ring full and had to park
-    /// ([`Backpressure::Block`] only).
+    /// Times an ingest call found a ring full and had to park.
     pub blocked: u64,
-    /// Chunks that overflowed into the coordinator-side spill queue
-    /// ([`Backpressure::Spill`] only; cumulative, not currently parked).
+    /// Always 0: the pool never spills a chunk to a coordinator-side
+    /// queue. Kept only so existing stats reports keep their field.
     pub spilled: u64,
-    /// Chunks currently parked in spill queues awaiting retry.
-    pub spilled_pending: usize,
-    /// Chunks shed because their ring was full ([`Backpressure::Fail`]).
-    pub dropped_chunks: u64,
-    /// Items lost inside those shed chunks.
-    pub dropped_items: u64,
     /// Snapshot barriers completed ([`ShardPool::snapshot_all`]) — each
     /// one is a consistent-cut query the pool served by serialising every
     /// shard in-band.
@@ -139,21 +113,16 @@ unsafe impl<S: Send> Send for ShardPtr<S> {}
 /// update type `U` moving through the rings — the sampler-family seam: the
 /// same pool hosts insertion-only shards (`U = Item`, the default) and
 /// turnstile shards (`U = SignedUpdate`) with identical transport,
-/// backpressure and barrier machinery.
+/// flow-control and barrier machinery.
 ///
 /// [`SignedUpdate`]: tps_streams::SignedUpdate
 pub struct ShardPool<U: StreamUpdate = Item> {
     producers: Vec<Producer<ShardCmd<U>>>,
     handles: Vec<Option<JoinHandle<()>>>,
     replies: mpsc::Receiver<ShardReply<U>>,
-    /// Per-shard overflow queues ([`Backpressure::Spill`] only): chunks
-    /// that found their ring full, in stream order, retried before any new
-    /// chunk and drained (blocking) before any barrier.
-    spill: Vec<VecDeque<Vec<U>>>,
     /// Cleared ingest buffers handed back by workers, reused by
     /// [`ShardPool::take_buffer`] so steady-state ingest allocates nothing.
     free: Vec<Vec<U>>,
-    backpressure: Backpressure,
     epoch: u64,
     stats: RuntimeStats,
 }
@@ -163,7 +132,7 @@ const BARRIER_POLL: Duration = Duration::from_millis(100);
 
 impl<U: StreamUpdate> ShardPool<U> {
     /// Spawns one persistent worker per pointer in `shards` and wires each
-    /// to a bounded command ring.
+    /// to a bounded command ring of `RING_CAPACITY` slots.
     ///
     /// # Safety
     ///
@@ -175,7 +144,7 @@ impl<U: StreamUpdate> ShardPool<U> {
     /// pointers point into must not move or be freed while the pool is
     /// alive (the pool joins its workers on drop, so dropping the pool
     /// before the pointees is sufficient).
-    pub unsafe fn start<S>(shards: &[*mut S], config: RuntimeConfig) -> Self
+    pub unsafe fn start<S>(shards: &[*mut S]) -> Self
     where
         S: UpdateSampler<U> + Snapshot + Send + 'static,
     {
@@ -184,7 +153,7 @@ impl<U: StreamUpdate> ShardPool<U> {
         let mut producers = Vec::with_capacity(shards.len());
         let mut handles = Vec::with_capacity(shards.len());
         for (index, &shard) in shards.iter().enumerate() {
-            let (tx, rx) = spsc::ring::<ShardCmd<U>>(config.ring_capacity);
+            let (tx, rx) = spsc::ring::<ShardCmd<U>>(RING_CAPACITY);
             let reply_tx = reply_tx.clone();
             let ptr = ShardPtr(shard);
             let handle = std::thread::Builder::new()
@@ -195,12 +164,10 @@ impl<U: StreamUpdate> ShardPool<U> {
             handles.push(Some(handle));
         }
         Self {
-            spill: vec![VecDeque::new(); producers.len()],
             free: Vec::new(),
             producers,
             handles,
             replies,
-            backpressure: config.backpressure,
             epoch: 0,
             stats: RuntimeStats::default(),
         }
@@ -211,23 +178,9 @@ impl<U: StreamUpdate> ShardPool<U> {
         self.producers.len()
     }
 
-    /// The configured backpressure policy.
-    pub fn backpressure(&self) -> Backpressure {
-        self.backpressure
-    }
-
-    /// Chunks currently parked in coordinator-side spill queues
-    /// ([`Backpressure::Spill`] only).
-    pub fn spilled_chunks(&self) -> usize {
-        self.spill.iter().map(VecDeque::len).sum()
-    }
-
     /// Cumulative pressure/throughput counters (see [`RuntimeStats`]).
     pub fn stats(&self) -> RuntimeStats {
-        RuntimeStats {
-            spilled_pending: self.spilled_chunks(),
-            ..self.stats
-        }
+        self.stats
     }
 
     /// A cleared, capacity-bearing ingest buffer — recycled from a worker
@@ -239,87 +192,28 @@ impl<U: StreamUpdate> ShardPool<U> {
         self.free.pop().unwrap_or_default()
     }
 
-    /// Enqueues one routed chunk for `shard`, applying the backpressure
-    /// policy. Order per shard is preserved even under spill: a new chunk
-    /// never overtakes a previously spilled one.
+    /// Enqueues one routed chunk for `shard`, blocking while that shard's
+    /// ring is full. Chunks reach each worker in send order.
     pub fn send(&mut self, shard: usize, chunk: Vec<U>) {
         if chunk.is_empty() {
             self.free.push(chunk);
             return;
         }
-        match self.backpressure {
-            Backpressure::Block => {
-                // Fast path first so the parking events are observable.
-                match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
-                    Ok(()) => self.stats.chunks += 1,
-                    Err(PushError::Full(cmd)) => {
-                        self.stats.blocked += 1;
-                        if self.producers[shard].push(cmd).is_err() {
-                            self.worker_died(shard);
-                        }
-                        self.stats.chunks += 1;
-                    }
-                    Err(PushError::Disconnected(_)) => self.worker_died(shard),
+        // Fast path first so the parking events are observable.
+        match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
+            Ok(()) => {}
+            Err(PushError::Full(cmd)) => {
+                self.stats.blocked += 1;
+                if self.producers[shard].push(cmd).is_err() {
+                    self.worker_died(shard);
                 }
             }
-            Backpressure::Spill => {
-                self.retry_spill(shard);
-                self.stats.chunks += 1;
-                if self.spill[shard].is_empty() {
-                    match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
-                        Ok(()) => {}
-                        Err(PushError::Full(cmd)) => {
-                            let ShardCmd::Ingest(chunk) = cmd else {
-                                unreachable!("spill path only pushes ingest commands")
-                            };
-                            self.stats.spilled += 1;
-                            self.spill[shard].push_back(chunk);
-                        }
-                        Err(PushError::Disconnected(_)) => self.worker_died(shard),
-                    }
-                } else {
-                    self.stats.spilled += 1;
-                    self.spill[shard].push_back(chunk);
-                }
-            }
-            Backpressure::Fail => {
-                match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
-                    Ok(()) => self.stats.chunks += 1,
-                    Err(PushError::Full(cmd)) => {
-                        let ShardCmd::Ingest(mut chunk) = cmd else {
-                            unreachable!("fail path only pushes ingest commands")
-                        };
-                        // Shed the chunk: count the loss, recycle the buffer.
-                        self.stats.dropped_chunks += 1;
-                        self.stats.dropped_items += chunk.len() as u64;
-                        chunk.clear();
-                        self.recycle(chunk);
-                    }
-                    Err(PushError::Disconnected(_)) => self.worker_died(shard),
-                }
-            }
+            Err(PushError::Disconnected(_)) => self.worker_died(shard),
         }
+        self.stats.chunks += 1;
     }
 
-    /// Non-blocking retry of `shard`'s spilled chunks, oldest first.
-    fn retry_spill(&mut self, shard: usize) {
-        while let Some(chunk) = self.spill[shard].pop_front() {
-            match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
-                Ok(()) => {}
-                Err(PushError::Full(cmd)) => {
-                    let ShardCmd::Ingest(chunk) = cmd else {
-                        unreachable!("spill path only pushes ingest commands")
-                    };
-                    self.spill[shard].push_front(chunk);
-                    return;
-                }
-                Err(PushError::Disconnected(_)) => self.worker_died(shard),
-            }
-        }
-    }
-
-    /// Blocks until everything sent so far — including spilled chunks — has
-    /// been applied by every worker. On return all rings are empty and the
+    /// Blocks until everything sent so far has been applied by every worker. On return all rings are empty and the
     /// coordinator may touch the shard states directly (see
     /// [`Self::start`]'s contract).
     pub fn flush(&mut self) {
@@ -343,13 +237,6 @@ impl<U: StreamUpdate> ShardPool<U> {
         }
         let epoch = self.epoch;
         for shard in 0..self.producers.len() {
-            // A barrier must sit after every chunk of the cut, so spilled
-            // chunks are flushed with *blocking* pushes first.
-            while let Some(chunk) = self.spill[shard].pop_front() {
-                if self.producers[shard].push(ShardCmd::Ingest(chunk)).is_err() {
-                    self.worker_died(shard);
-                }
-            }
             if self.producers[shard]
                 .push(ShardCmd::Barrier { epoch, snapshot })
                 .is_err()
@@ -455,9 +342,7 @@ impl<U: StreamUpdate> std::fmt::Debug for ShardPool<U> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardPool")
             .field("num_shards", &self.num_shards())
-            .field("backpressure", &self.backpressure)
             .field("epoch", &self.epoch)
-            .field("spilled_chunks", &self.spilled_chunks())
             .finish()
     }
 }
@@ -515,39 +400,57 @@ mod tests {
             .collect()
     }
 
+    /// An Lp shard whose batched path first sleeps 20 ms, so a burst of
+    /// sends outruns its worker and fills its ring.
+    struct SlowLp(TrulyPerfectLpSampler);
+
+    impl StreamSampler for SlowLp {
+        fn update(&mut self, item: Item) {
+            self.0.update(item);
+        }
+        fn update_batch(&mut self, items: &[Item]) {
+            std::thread::sleep(Duration::from_millis(20));
+            self.0.update_batch(items);
+        }
+        fn sample(&mut self) -> tps_streams::SampleOutcome {
+            self.0.sample()
+        }
+    }
+
+    impl Snapshot for SlowLp {
+        const TAG: u16 = TrulyPerfectLpSampler::TAG;
+        fn encode_into(&self, w: &mut tps_streams::SnapshotWriter) {
+            self.0.encode_into(w);
+        }
+    }
+
     /// Round-robin chunks through the pool ≡ the same chunks applied
-    /// directly: the pool adds routing-free transport, nothing else.
+    /// directly: the pool adds routing-free transport, nothing else — also
+    /// when slow shards fill their rings and the sender has to block.
     #[test]
     fn pool_ingest_matches_direct_ingest() {
-        for backpressure in [Backpressure::Block, Backpressure::Spill] {
-            let mut via_pool = samplers(3, 9);
-            let mut direct = samplers(3, 9);
-            let items = stream(30_000);
-            {
-                let ptrs: Vec<*mut _> = via_pool.iter_mut().map(|s| s as *mut _).collect();
-                let mut pool = unsafe {
-                    ShardPool::start(
-                        &ptrs,
-                        RuntimeConfig {
-                            backpressure,
-                            // Tiny ring so both policies hit their full-ring path.
-                            ring_capacity: 2,
-                        },
-                    )
-                };
-                for (index, chunk) in items.chunks(1_000).enumerate() {
-                    let shard = index % 3;
-                    let mut buffer = pool.take_buffer();
-                    buffer.extend_from_slice(chunk);
-                    pool.send(shard, buffer);
-                    direct[shard].update_batch(chunk);
-                }
-                pool.flush();
-                assert_eq!(pool.spilled_chunks(), 0);
+        let mut via_pool: Vec<SlowLp> = samplers(3, 9).into_iter().map(SlowLp).collect();
+        let mut direct = samplers(3, 9);
+        let items = stream(30_000);
+        let stats = {
+            let ptrs: Vec<*mut _> = via_pool.iter_mut().map(|s| s as *mut _).collect();
+            let mut pool = unsafe { ShardPool::start(&ptrs) };
+            // 20 chunks per shard against an 8-slot ring: the sender must park.
+            for (index, chunk) in items.chunks(500).enumerate() {
+                let shard = index % 3;
+                let mut buffer = pool.take_buffer();
+                buffer.extend_from_slice(chunk);
+                pool.send(shard, buffer);
+                direct[shard].update_batch(chunk);
             }
-            for (a, b) in via_pool.iter().zip(&direct) {
-                assert_eq!(a.snapshot(), b.snapshot(), "{backpressure:?}");
-            }
+            pool.flush();
+            pool.stats()
+        };
+        assert!(stats.blocked > 0, "full-ring path never exercised");
+        assert_eq!(stats.chunks, 60);
+        assert_eq!(stats.spilled, 0);
+        for (a, b) in via_pool.iter().zip(&direct) {
+            assert_eq!(a.snapshot(), b.snapshot());
         }
     }
 
@@ -563,7 +466,7 @@ mod tests {
         let cut_bytes;
         {
             let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe { ShardPool::start(&ptrs, RuntimeConfig::default()) };
+            let mut pool = unsafe { ShardPool::start(&ptrs) };
             for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
                 pool.send(j, half.to_vec());
             }
@@ -588,95 +491,6 @@ mod tests {
         }
     }
 
-    /// Spill mode never blocks the sender: with a 2-slot ring and a worker
-    /// wedged behind a large chunk, sends keep succeeding by spilling, and
-    /// the barrier drains everything in order.
-    #[test]
-    fn spill_mode_parks_overflow_and_flush_drains_it() {
-        let mut shards = samplers(1, 11);
-        let mut direct = samplers(1, 11);
-        let items = stream(50_000);
-        {
-            let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe {
-                ShardPool::start(
-                    &ptrs,
-                    RuntimeConfig {
-                        backpressure: Backpressure::Spill,
-                        ring_capacity: 2,
-                    },
-                )
-            };
-            let mut spilled_at_least_once = false;
-            for chunk in items.chunks(500) {
-                pool.send(0, chunk.to_vec());
-                direct[0].update_batch(chunk);
-                spilled_at_least_once |= pool.spilled_chunks() > 0;
-            }
-            pool.flush();
-            assert_eq!(pool.spilled_chunks(), 0);
-            // 100 rapid sends through a 2-slot ring must overflow sometimes;
-            // if not, the test isn't exercising the spill path.
-            assert!(spilled_at_least_once, "spill path never exercised");
-        }
-        assert_eq!(shards[0].snapshot(), direct[0].snapshot());
-    }
-
-    /// Fail mode sheds chunks instead of blocking or buffering: against a
-    /// deliberately slow worker behind a 2-slot ring, rapid sends drop some
-    /// chunks, the counters account for every chunk and item, and the
-    /// barrier still completes (barriers are never shed).
-    #[test]
-    fn fail_mode_sheds_chunks_and_counts_them() {
-        struct SlowCounter {
-            seen: u64,
-        }
-        impl StreamSampler for SlowCounter {
-            fn update(&mut self, _item: Item) {
-                self.seen += 1;
-            }
-            fn update_batch(&mut self, items: &[Item]) {
-                std::thread::sleep(Duration::from_millis(20));
-                self.seen += items.len() as u64;
-            }
-            fn sample(&mut self) -> tps_streams::SampleOutcome {
-                tps_streams::SampleOutcome::Empty
-            }
-        }
-        impl Snapshot for SlowCounter {
-            const TAG: u16 = 0xFFFE;
-            fn encode_into(&self, w: &mut tps_streams::SnapshotWriter) {
-                w.put_tag(Self::TAG);
-                w.put_u64(self.seen);
-            }
-        }
-        let mut shards = [SlowCounter { seen: 0 }];
-        let stats = {
-            let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe {
-                ShardPool::start(
-                    &ptrs,
-                    RuntimeConfig {
-                        backpressure: Backpressure::Fail,
-                        ring_capacity: 2,
-                    },
-                )
-            };
-            for _ in 0..24 {
-                pool.send(0, vec![1, 2, 3]);
-            }
-            pool.flush();
-            pool.stats()
-        };
-        assert!(stats.dropped_chunks > 0, "fail path never shed a chunk");
-        assert_eq!(stats.chunks + stats.dropped_chunks, 24);
-        assert_eq!(stats.dropped_items, 3 * stats.dropped_chunks);
-        assert_eq!(stats.spilled, 0);
-        assert_eq!(stats.spilled_pending, 0);
-        // Delivered chunks all landed; shed chunks never did.
-        assert_eq!(shards[0].seen, 3 * stats.chunks);
-    }
-
     #[test]
     fn worker_panic_surfaces_at_the_barrier() {
         struct Bomb;
@@ -697,7 +511,7 @@ mod tests {
         let result = std::panic::catch_unwind(|| {
             let mut shards = [Bomb];
             let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe { ShardPool::start(&ptrs, RuntimeConfig::default()) };
+            let mut pool = unsafe { ShardPool::start(&ptrs) };
             pool.send(0, vec![1, 2, 3]);
             pool.flush();
         });

@@ -47,21 +47,19 @@
 //! ## Construction and configuration
 //!
 //! The front door is [`ShardedSampler::builder`]: shard count, routing
-//! strategy, seed, backpressure policy, parallel cutoff and runtime chunk
-//! size as named setters, then [`ShardedSamplerBuilder::build`] with the
-//! per-shard factory. Backpressure when a shard's ring fills: block the
-//! caller, spill chunks to a coordinator-side queue so ingest calls never
-//! block, or shed chunks outright ([`Backpressure::Fail`]) — with
-//! [`ShardedSampler::runtime_stats`] exposing the blocked/spilled/dropped
-//! counters either way.
+//! strategy, seed and parallel cutoff as named setters, then
+//! [`ShardedSamplerBuilder::build`] with the per-shard factory. Flow
+//! control is not a knob: when a shard's ring fills, ingest blocks until
+//! that worker drains a slot, so every routed update is applied and
+//! coordinator memory stays bounded. [`ShardedSampler::runtime_stats`]
+//! counts how often ingest had to block.
 
 use std::cell::UnsafeCell;
 use std::sync::Mutex;
 
-use crate::runtime::{RuntimeConfig, RuntimeStats, ShardPool};
+use crate::runtime::{RuntimeStats, ShardPool};
 use tps_random::Xoshiro256;
 use tps_streams::codec::{self, CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};
-use tps_streams::spsc::Backpressure;
 use tps_streams::{
     Item, MergeableSampler, QueryConsistency, QueryOptions, QuerySnapshot, SampleOutcome,
     SignedUpdate, SpaceUsage, StreamSampler, StreamUpdate, TurnstileSampler, UpdateSampler,
@@ -137,12 +135,10 @@ const RUNTIME_CHUNK: usize = 32 * 1024;
 /// ```
 /// use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
 /// use tps_core::lp::TrulyPerfectLpSampler;
-/// use tps_streams::spsc::Backpressure;
 ///
 /// let sampler = ShardedSamplerBuilder::new(4)
 ///     .strategy(ShardingStrategy::Hash)
 ///     .seed(42)
-///     .backpressure(Backpressure::Spill)
 ///     .build(|shard| TrulyPerfectLpSampler::new(2.0, 512, 0.1, 42 ^ ((shard as u64) << 32)));
 /// assert_eq!(sampler.shard_count(), 4);
 /// ```
@@ -151,15 +147,13 @@ pub struct ShardedSamplerBuilder {
     shards: usize,
     strategy: ShardingStrategy,
     seed: u64,
-    backpressure: Backpressure,
     parallel_cutoff: usize,
-    chunk_len: usize,
 }
 
 impl ShardedSamplerBuilder {
     /// Starts a builder for `shards` shard instances. Defaults:
-    /// [`ShardingStrategy::Hash`], seed `0`, [`Backpressure::Block`],
-    /// a 4096-item-per-shard parallel cutoff and 32Ki-item runtime chunks.
+    /// [`ShardingStrategy::Hash`], seed `0` and a 4096-item-per-shard
+    /// parallel cutoff.
     ///
     /// # Panics
     ///
@@ -170,9 +164,7 @@ impl ShardedSamplerBuilder {
             shards,
             strategy: ShardingStrategy::Hash,
             seed: 0,
-            backpressure: Backpressure::Block,
             parallel_cutoff: PARALLEL_MIN_PER_SHARD,
-            chunk_len: RUNTIME_CHUNK,
         }
     }
 
@@ -191,13 +183,6 @@ impl ShardedSamplerBuilder {
         self
     }
 
-    /// What ingest does when a shard's ring is full: block, spill to a
-    /// coordinator-side queue, or shed the chunk ([`Backpressure::Fail`]).
-    pub fn backpressure(mut self, policy: Backpressure) -> Self {
-        self.backpressure = policy;
-        self
-    }
-
     /// Per-shard batch size below which (pre-runtime) batches are scattered
     /// and drained on the calling thread instead of waking the worker pool.
     ///
@@ -207,17 +192,6 @@ impl ShardedSamplerBuilder {
     pub fn parallel_cutoff(mut self, items_per_shard: usize) -> Self {
         assert!(items_per_shard > 0, "parallel cutoff must be positive");
         self.parallel_cutoff = items_per_shard;
-        self
-    }
-
-    /// Items staged per shard before a chunk ships to that shard's ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items == 0`.
-    pub fn chunk_len(mut self, items: usize) -> Self {
-        assert!(items > 0, "runtime chunk length must be positive");
-        self.chunk_len = items;
         self
     }
 
@@ -269,9 +243,7 @@ impl ShardedSamplerBuilder {
             scratch: Vec::new(),
             rng: Xoshiro256::seed_from_u64(self.seed ^ MERGE_SEED_SALT),
             processed: 0,
-            backpressure: self.backpressure,
             parallel_cutoff: self.parallel_cutoff,
-            chunk_len: self.chunk_len,
             epoch: 0,
             cache: None,
             cache_stats: QueryCacheStats::default(),
@@ -356,15 +328,9 @@ pub struct ShardedSampler<S, U: StreamUpdate = Item> {
     /// Coins for the query-time merge draws.
     rng: Xoshiro256,
     processed: u64,
-    /// Policy applied when the runtime starts. Serialised since format
-    /// v2, so a restored sampler keeps the policy it was built with.
-    backpressure: Backpressure,
     /// Per-shard batch size below which (pre-runtime) batches take the
     /// sequential path. Serialised since format v2.
     parallel_cutoff: usize,
-    /// Items staged per shard before a chunk ships to its ring.
-    /// Serialised since format v2.
-    chunk_len: usize,
     /// Ingest generation counter (one per [`Self::ingest`] /
     /// [`Self::ingest_batch`] call): the staleness clock of the query
     /// cache. Transient — never serialised, so a restored sampler starts
@@ -415,26 +381,6 @@ where
         self.strategy
     }
 
-    /// The backpressure policy the runtime (will) run with.
-    pub fn backpressure(&self) -> Backpressure {
-        self.backpressure
-    }
-
-    /// Configures what ingest does when a shard's ring is full. Must be
-    /// called before the runtime starts (i.e. before the first batch large
-    /// enough to cross the parallel cutoff).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker pool is already running.
-    pub fn set_backpressure(&mut self, policy: Backpressure) {
-        assert!(
-            self.runtime.is_none(),
-            "set the backpressure policy before the runtime starts"
-        );
-        self.backpressure = policy;
-    }
-
     /// Whether the persistent worker pool is live.
     pub fn runtime_active(&self) -> bool {
         self.runtime.is_some()
@@ -446,15 +392,9 @@ where
         self.parallel_cutoff
     }
 
-    /// The runtime chunk length (items staged per shard before a chunk
-    /// ships to its ring).
-    pub fn chunk_len(&self) -> usize {
-        self.chunk_len
-    }
-
     /// Cumulative pressure/throughput counters of the live runtime —
-    /// chunks delivered, ingest calls that blocked, chunks spilled or shed
-    /// (see [`RuntimeStats`]). All zeros while the worker pool has not
+    /// chunks delivered and ingest calls that blocked (see
+    /// [`RuntimeStats`]). All zeros while the worker pool has not
     /// started; reset when it restarts (clone, restore).
     pub fn runtime_stats(&self) -> RuntimeStats {
         match &self.runtime {
@@ -512,15 +452,7 @@ where
         // drop; `Self` is only movable as a whole, which does not move the
         // boxed allocation). Coordinator-side access to the pointees only
         // happens behind `quiesce()` barriers, per the contract.
-        let pool = unsafe {
-            ShardPool::start(
-                &ptrs,
-                RuntimeConfig {
-                    backpressure: self.backpressure,
-                    ..RuntimeConfig::default()
-                },
-            )
-        };
+        let pool = unsafe { ShardPool::start(&ptrs) };
         self.runtime = Some(Mutex::new(RuntimeState {
             pool,
             staging: vec![Vec::new(); self.shards.len()],
@@ -534,7 +466,6 @@ where
     fn scatter_to_runtime(&mut self, updates: &[U]) {
         let k = self.shards.len();
         let strategy = self.strategy;
-        let chunk_len = self.chunk_len;
         let mut cursor = self.cursor;
         let state = self
             .runtime
@@ -556,7 +487,7 @@ where
             };
             let buffer = &mut state.staging[shard];
             buffer.push(update);
-            if buffer.len() >= chunk_len {
+            if buffer.len() >= RUNTIME_CHUNK {
                 let mut fresh = state.pool.take_buffer();
                 std::mem::swap(buffer, &mut fresh);
                 state.pool.send(shard, fresh);
@@ -763,11 +694,10 @@ where
     /// While the worker pool is live (or once this batch is large enough —
     /// the configured [`parallel_cutoff`](ShardedSampler::parallel_cutoff)
     /// items per shard — to start it), the coordinator routes items into
-    /// per-shard staging buffers and ships each as a
-    /// [`chunk_len`](ShardedSampler::chunk_len)-sized chunk onto that
-    /// shard's SPSC ring;
-    /// workers drain their rings through the engines' amortised
-    /// `update_batch`. The call returns as soon as the batch is enqueued —
+    /// per-shard staging buffers and ships each as a 32Ki-item chunk onto
+    /// that shard's SPSC ring; workers drain their rings through the
+    /// engines' amortised `update_batch`. The call returns as soon as the
+    /// batch is enqueued (blocking only while a shard's ring is full) —
     /// chunks pipeline across shards with no spawn/join and no barrier per
     /// batch. Use [`ShardedSampler::flush`] (or any query/snapshot) for a
     /// completion barrier.
@@ -838,9 +768,7 @@ where
             scratch: Vec::new(),
             rng: self.rng.clone(),
             processed: self.processed,
-            backpressure: self.backpressure,
             parallel_cutoff: self.parallel_cutoff,
-            chunk_len: self.chunk_len,
             epoch: self.epoch,
             cache: None,
             cache_stats: QueryCacheStats::default(),
@@ -873,7 +801,6 @@ where
             .field("cursor", &self.cursor)
             .field("processed", &self.processed)
             .field("epoch", &self.epoch)
-            .field("backpressure", &self.backpressure)
             .field("runtime_active", &self.runtime.is_some())
             .field("cached_query", &self.cache.is_some())
             .field("shards", &shards)
@@ -882,14 +809,22 @@ where
 }
 
 /// Wire format (v2): the router configuration (strategy, then — new in
-/// format version 2 — the backpressure policy, parallel cutoff and runtime
-/// chunk length, then round-robin cursor, processed count, merge-coin RNG
-/// position) followed by each shard's own snapshot. Worker-pool state is
-/// operational, not logical: encoding quiesces the pool and ships only the
-/// shard states, and a restored sampler starts with a cold runtime — but,
-/// since v2, with the ingest configuration it was built with rather than
-/// the defaults (v1 snapshots migrate with the frozen v1 defaults spliced
-/// in; see `tps_streams::codec::migrate`).
+/// format version 2 — a legacy backpressure byte, the parallel cutoff and a
+/// legacy runtime chunk length, then round-robin cursor, processed count,
+/// merge-coin RNG position) followed by each shard's own snapshot.
+/// Worker-pool state is operational, not logical: encoding quiesces the
+/// pool and ships only the shard states, and a restored sampler starts with
+/// a cold runtime and the parallel cutoff it was built with (v1 snapshots
+/// migrate with the frozen v1 defaults spliced in; see
+/// `tps_streams::codec::migrate`).
+///
+/// The backpressure byte and chunk-length word date from when the runtime
+/// had a flow-control policy and a chunk-size knob. The encoder writes the
+/// values every sampler used by default (`0` for block, and
+/// `RUNTIME_CHUNK`); the decoder still validates both so snapshots from
+/// older writers restore, then ignores them: a restored sampler blocks and
+/// ships `RUNTIME_CHUNK`-sized chunks, and by the batch ≡ loop law chunk
+/// size cannot change shard state.
 ///
 /// Because each shard is itself a complete snapshot of a mergeable
 /// sampler, the per-shard records can also be shipped to *different*
@@ -911,13 +846,9 @@ where
             ShardingStrategy::Hash => 0,
             ShardingStrategy::RoundRobin => 1,
         });
-        w.put_u8(match self.backpressure {
-            Backpressure::Block => 0,
-            Backpressure::Spill => 1,
-            Backpressure::Fail => 2,
-        });
+        w.put_u8(0);
         w.put_usize(self.parallel_cutoff);
-        w.put_usize(self.chunk_len);
+        w.put_usize(RUNTIME_CHUNK);
         w.put_usize(self.cursor);
         w.put_u64(self.processed);
         self.rng.encode_into(w);
@@ -945,17 +876,15 @@ where
                 })
             }
         };
-        let backpressure = match r.get_u8()? {
-            0 => Backpressure::Block,
-            1 => Backpressure::Spill,
-            2 => Backpressure::Fail,
-            _ => {
-                return Err(CodecError::InvalidValue {
-                    what: "backpressure flag must be 0, 1 or 2",
-                })
-            }
-        };
+        // Legacy backpressure byte (0 block, 1 spill, 2 fail): validated,
+        // then ignored — the runtime always blocks.
+        if r.get_u8()? > 2 {
+            return Err(CodecError::InvalidValue {
+                what: "backpressure flag must be 0, 1 or 2",
+            });
+        }
         let parallel_cutoff = r.get_usize()?;
+        // Legacy chunk length: likewise validated, then ignored.
         let chunk_len = r.get_usize()?;
         if parallel_cutoff == 0 || chunk_len == 0 {
             return Err(CodecError::InvalidValue {
@@ -1008,9 +937,7 @@ where
             scratch: Vec::new(),
             rng,
             processed,
-            backpressure,
             parallel_cutoff,
-            chunk_len,
             // Like the runtime: operational state restarts cold.
             epoch: 0,
             cache: None,
@@ -1119,7 +1046,7 @@ mod tests {
     }
 
     /// The runtime path (one whole-stream batch above the per-shard
-    /// parallelism cutoff, for both backpressure policies) and the
+    /// parallelism cutoff) and the
     /// sequential small-batch path (many chunks below it) leave identical
     /// states — same shard contents, same query RNG position — for both
     /// routing strategies.
@@ -1128,32 +1055,29 @@ mod tests {
         let len = 3 * PARALLEL_MIN_PER_SHARD + 1_234;
         let stream = zipfish_stream(len, 61);
         for strategy in [ShardingStrategy::Hash, ShardingStrategy::RoundRobin] {
-            for backpressure in [Backpressure::Block, Backpressure::Spill] {
-                let mut looped = sharded_l2(3, strategy, 21);
-                for &x in &stream {
-                    looped.update(x);
-                }
-                let mut sequential = sharded_l2(3, strategy, 21);
-                for piece in stream.chunks(501) {
-                    sequential.update_batch(piece);
-                }
-                let mut parallel = sharded_l2(3, strategy, 21);
-                parallel.set_backpressure(backpressure);
-                parallel.update_batch(&stream);
-                assert!(parallel.runtime_active(), "cutoff must start the runtime");
-                for draw in 0..6 {
-                    let want = looped.sample();
-                    assert_eq!(
-                        want,
-                        parallel.sample(),
-                        "{strategy:?}/{backpressure:?} runtime path diverged at draw {draw}"
-                    );
-                    assert_eq!(
-                        want,
-                        sequential.sample(),
-                        "{strategy:?} sequential path diverged at draw {draw}"
-                    );
-                }
+            let mut looped = sharded_l2(3, strategy, 21);
+            for &x in &stream {
+                looped.update(x);
+            }
+            let mut sequential = sharded_l2(3, strategy, 21);
+            for piece in stream.chunks(501) {
+                sequential.update_batch(piece);
+            }
+            let mut parallel = sharded_l2(3, strategy, 21);
+            parallel.update_batch(&stream);
+            assert!(parallel.runtime_active(), "cutoff must start the runtime");
+            for draw in 0..6 {
+                let want = looped.sample();
+                assert_eq!(
+                    want,
+                    parallel.sample(),
+                    "{strategy:?} runtime path diverged at draw {draw}"
+                );
+                assert_eq!(
+                    want,
+                    sequential.sample(),
+                    "{strategy:?} sequential path diverged at draw {draw}"
+                );
             }
         }
     }
@@ -1232,25 +1156,68 @@ mod tests {
         let _ = sharded_l2(0, ShardingStrategy::Hash, 1);
     }
 
-    /// The ingest configuration survives the snapshot round trip (new in
-    /// format v2): policy, cutoff and chunk length come back, and the
-    /// builder's routing helper agrees with the public `hash_route`.
+    /// Snapshots from writers that still had flow-control and chunk-size
+    /// knobs restore: a hand-built v2 record carrying the spill (1) or
+    /// fail (2) byte and a 2048-item chunk length comes back as a blocking
+    /// sampler that, fed the same stream as a default-built twin, ends in
+    /// the same state. Out-of-range legacy fields still fail typed, the
+    /// parallel cutoff still round-trips, and the builder's routing helper
+    /// agrees with the public `hash_route`.
     #[test]
     fn ingest_config_round_trips_through_snapshots() {
-        let mut sampler = ShardedSamplerBuilder::new(2)
-            .seed(3)
-            .backpressure(Backpressure::Fail)
-            .parallel_cutoff(1_000)
-            .chunk_len(2_048)
-            .build(|idx| TrulyPerfectLpSampler::new(2.0, 512, 0.1, 3 ^ ((idx as u64) << 32)));
-        sampler.update_batch(&zipfish_stream(500, 13));
-        let restored: ShardedSampler<TrulyPerfectLpSampler> =
-            ShardedSampler::restore(&sampler.snapshot()).unwrap();
-        assert_eq!(restored.backpressure(), Backpressure::Fail);
-        assert_eq!(restored.parallel_cutoff(), 1_000);
-        assert_eq!(restored.chunk_len(), 2_048);
+        use tps_streams::codec::{seal, tag};
+        let twin = || {
+            ShardedSamplerBuilder::new(2)
+                .seed(3)
+                .parallel_cutoff(1_000)
+                .build(|idx| TrulyPerfectLpSampler::new(2.0, 512, 0.1, 3 ^ ((idx as u64) << 32)))
+        };
+        let prefix = zipfish_stream(500, 13);
+        // Large enough to start the runtime on both sides.
+        let suffix = zipfish_stream(5_000, 61);
+        let mut base = twin();
+        base.update_batch(&prefix);
+        let legacy = |backpressure: u8, chunk_len: u64| {
+            let mut w = SnapshotWriter::new();
+            w.put_tag(tag::SHARDED_SAMPLER);
+            w.put_u8(0); // hash strategy
+            w.put_u8(backpressure);
+            w.put_u64(1_000); // parallel cutoff
+            w.put_u64(chunk_len);
+            w.put_u64(0); // cursor
+            w.put_u64(prefix.len() as u64); // processed
+            Xoshiro256::seed_from_u64(3 ^ MERGE_SEED_SALT).encode_into(&mut w);
+            w.put_u64(2); // shard count
+            for j in 0..2 {
+                base.shard(j).encode_into(&mut w);
+            }
+            seal(tag::SHARDED_SAMPLER, &w.into_bytes())
+        };
+        // Today's encoder writes exactly the default-policy legacy fields.
+        assert_eq!(legacy(0, RUNTIME_CHUNK as u64), base.snapshot());
+        for backpressure in [1, 2] {
+            let mut restored: ShardedSampler<TrulyPerfectLpSampler> =
+                ShardedSampler::restore(&legacy(backpressure, 2_048)).unwrap();
+            assert_eq!(restored.parallel_cutoff(), 1_000);
+            let mut default_built = twin();
+            default_built.update_batch(&prefix);
+            restored.update_batch(&suffix);
+            default_built.update_batch(&suffix);
+            assert!(restored.runtime_active());
+            assert_eq!(
+                restored.snapshot(),
+                default_built.snapshot(),
+                "legacy byte {backpressure} restored to a different sampler"
+            );
+        }
+        for (backpressure, chunk_len) in [(3, 2_048), (0, 0)] {
+            assert!(matches!(
+                ShardedSampler::<TrulyPerfectLpSampler>::restore(&legacy(backpressure, chunk_len)),
+                Err(CodecError::InvalidValue { .. })
+            ));
+        }
         for item in [0u64, 1, 99, u64::MAX] {
-            assert_eq!(sampler.hash_shard_of(item), hash_route(item, 2));
+            assert_eq!(base.hash_shard_of(item), hash_route(item, 2));
         }
     }
 
@@ -1265,8 +1232,7 @@ mod tests {
         sampler.flush();
         let stats = sampler.runtime_stats();
         assert!(stats.chunks > 0, "runtime ingest must count chunks");
-        assert_eq!(stats.dropped_chunks, 0);
-        assert_eq!(stats.spilled_pending, 0);
+        assert_eq!(stats.spilled, 0);
     }
 
     /// A consistent `query()` is `merged()` by another name: same merged

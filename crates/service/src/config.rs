@@ -491,6 +491,49 @@ pub struct FaultPlan {
     pub die: Option<DieSpec>,
 }
 
+impl FaultPlan {
+    /// Rejects a plan that can never fire on `spec`'s job, so a fault run
+    /// cannot silently turn into a calm one. A fault fires after the
+    /// coordinator has routed `after_chunks` of the job's
+    /// `count.div_ceil(chunk)` chunks; a mid-barrier death needs a
+    /// checkpoint barrier at or after that point.
+    pub fn validate(&self, spec: &JobSpec) -> Result<(), String> {
+        let chunks = spec.count.div_ceil(spec.chunk) as u64;
+        if let Some(kill) = self.kill {
+            if kill.shard >= spec.workers {
+                return Err(format!(
+                    "no shard {} to kill: the job has {} workers",
+                    kill.shard, spec.workers
+                ));
+            }
+            if chunks == 0 || kill.after_chunks > chunks {
+                return Err(format!(
+                    "kill after {} chunks never fires: the job has {chunks} chunks",
+                    kill.after_chunks
+                ));
+            }
+        }
+        if let Some(die) = self.die {
+            if die.mid_barrier {
+                let last_barrier = chunks - chunks % spec.checkpoint_every;
+                if last_barrier == 0 || die.after_chunks > last_barrier {
+                    return Err(format!(
+                        "mid-barrier death after {} chunks never fires: the last checkpoint \
+                         barrier of the {chunks}-chunk job comes after chunk {last_barrier}",
+                        die.after_chunks
+                    ));
+                }
+            } else if chunks == 0 || die.after_chunks > chunks {
+                return Err(format!(
+                    "death after {} chunks never fires: the job has {chunks} chunks",
+                    die.after_chunks
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Per-invocation query-plane wiring (runtime-only, like [`FaultPlan`]).
 #[derive(Debug, Clone, Default)]
 pub struct QueryPlan {
@@ -641,6 +684,67 @@ mod tests {
         let back = JobSpec::decode_from(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, spec);
+    }
+
+    /// Fault plans are checked against the job before anything runs: a
+    /// plan fires iff its chunk (and, for a mid-barrier death, a
+    /// checkpoint barrier at or after it) lies inside the job.
+    #[test]
+    fn unreachable_fault_plans_are_rejected() {
+        // 20 chunks of 1000, a checkpoint barrier every 8 chunks (8, 16).
+        let spec = ServiceBuilder::new(SamplerKind::L2, 2)
+            .count(20_000)
+            .chunk(1_000)
+            .checkpoint_every(8)
+            .build()
+            .unwrap();
+        let kill = |shard, after_chunks| FaultPlan {
+            kill: Some(KillSpec {
+                shard,
+                after_chunks,
+            }),
+            die: None,
+        };
+        let die = |after_chunks, mid_barrier| FaultPlan {
+            kill: None,
+            die: Some(DieSpec {
+                after_chunks,
+                mid_barrier,
+            }),
+        };
+        for (plan, reachable) in [
+            (FaultPlan::default(), true),
+            (kill(1, 11), true),
+            (kill(0, 20), true),
+            (kill(1, 21), false),
+            (kill(1, 500), false),
+            (kill(2, 11), false),
+            (kill(5, 15), false),
+            (die(20, false), true),
+            (die(21, false), false),
+            (die(500, false), false),
+            (die(16, true), true),
+            (die(9, true), true),
+            (die(17, true), false),
+            (die(19, true), false),
+        ] {
+            assert_eq!(plan.validate(&spec).is_ok(), reachable, "{plan:?}");
+        }
+        // An empty job routes no chunk, so no fault can fire.
+        let empty = ServiceBuilder::new(SamplerKind::L2, 2)
+            .count(0)
+            .build()
+            .unwrap();
+        assert!(kill(0, 0).validate(&empty).is_err());
+        assert!(die(0, false).validate(&empty).is_err());
+        // A job shorter than one checkpoint cadence has no barrier to die in.
+        let short = ServiceBuilder::new(SamplerKind::L2, 2)
+            .count(20_000)
+            .chunk(1_000)
+            .checkpoint_every(21)
+            .build()
+            .unwrap();
+        assert!(die(1, true).validate(&short).is_err());
     }
 
     #[test]

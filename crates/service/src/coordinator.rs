@@ -899,9 +899,7 @@ fn drive_job<U: IngestPayload + PartialEq>(
 
         if let Some(kill) = kill_pending {
             if chunks_routed >= kill.after_chunks {
-                if kill.shard >= spec.workers {
-                    return Err(invalid(format!("no shard {} to kill", kill.shard)));
-                }
+                // `FaultPlan::validate` vetted the shard in `run_job`.
                 restart_worker(spec, &exe, stream, &mut workers[kill.shard])?;
                 kill_pending = None;
             }
@@ -1016,6 +1014,7 @@ fn drive_job<U: IngestPayload + PartialEq>(
 /// query plan, merge, shut down.
 pub fn run_job(spec: &JobSpec, fault: &FaultPlan, query: &QueryPlan) -> io::Result<QueryReport> {
     spec.validate().map_err(invalid)?;
+    fault.validate(spec).map_err(invalid)?;
     let (snapshots, processed) = if spec.sampler.is_turnstile() {
         let stream = job_signed_stream(spec.universe, spec.count, spec.seed);
         (

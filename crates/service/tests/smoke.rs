@@ -803,4 +803,23 @@ fn empty_universe_fails_typed_from_the_cli() {
             "{label}: {stderr}"
         );
     }
+    // A fault plan that can never fire on the job (30 chunks) is rejected
+    // before any worker is spawned, instead of running calm.
+    let unreachable = coordinator_cmd(
+        &base_spec(SamplerKind::L2, dir.path(), false),
+        &["--kill-shard", "1", "--kill-after-chunks", "500"],
+    )
+    .output()
+    .expect("coordinator runs");
+    let stderr = String::from_utf8_lossy(&unreachable.stderr);
+    assert_eq!(unreachable.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("never fires") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+    assert!(
+        std::fs::read_dir(dir.path()).unwrap().next().is_none(),
+        "an unreachable plan must not touch the checkpoint directory"
+    );
 }

@@ -13,9 +13,10 @@
 //!
 //! Version 2 made exactly one payload change: the sharded-sampler record
 //! ([`tag::SHARDED_SAMPLER`]) now carries its ingest configuration —
-//! backpressure policy, parallel cutoff, runtime chunk length — directly
-//! after the strategy byte, so a restored front-end keeps the policy it
-//! was built with instead of silently reverting to defaults. Every other
+//! backpressure byte, parallel cutoff, runtime chunk length — directly
+//! after the strategy byte. The backpressure byte and chunk length are
+//! still in the format but ignored on restore (the runtime always blocks
+//! and uses one fixed chunk size); the parallel cutoff is restored. Every other
 //! component's payload is bit-identical across the two versions, so its
 //! migration is a header rewrite (new version stamp, recomputed checksum).
 //!
@@ -27,8 +28,8 @@
 
 use super::{peek_tag, peek_version, seal, tag, unseal_at_version, CodecError, FORMAT_VERSION};
 
-/// The backpressure policy every v1 sharded snapshot restored with
-/// (`Backpressure::Block`, wire value 0).
+/// The backpressure byte every v1 sharded snapshot restored with (0,
+/// block — the only flow control the runtime has).
 pub const V1_SHARDED_BACKPRESSURE: u8 = 0;
 
 /// The per-shard parallel cutoff every v1 sharded snapshot restored with.

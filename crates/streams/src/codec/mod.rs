@@ -67,11 +67,14 @@ pub const MAGIC: [u8; 4] = *b"TPSS";
 ///
 /// * `1` — the PR 4 launch format.
 /// * `2` — the sharded-sampler payload gained its ingest configuration
-///   (backpressure policy, parallel cutoff, runtime chunk length) so a
-///   restored front-end keeps the policy it was built with, and the
+///   (backpressure byte, parallel cutoff, runtime chunk length), and the
 ///   [`delta`] incremental-checkpoint frame kind was introduced. Old
 ///   version-1 snapshots convert losslessly through
-///   [`migrate::upgrade_to_current`].
+///   [`migrate::upgrade_to_current`]. The runtime has since lost its
+///   flow-control and chunk-size knobs: the backpressure byte and chunk
+///   length stay in the format (written as `0` and the fixed chunk size,
+///   still validated on decode) but are ignored on restore; only the
+///   parallel cutoff is restored.
 pub const FORMAT_VERSION: u16 = 2;
 
 /// Component tags: every snapshottable type owns one, written both in the

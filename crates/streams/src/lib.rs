@@ -18,8 +18,8 @@
 //! * statistical utilities for comparing empirical sample distributions
 //!   against the exact target (total-variation distance, χ² statistics,
 //!   composition-bias measurements) ([`stats`]),
-//! * a bounded SPSC ring and the backpressure policy type behind the
-//!   persistent sharded runtime in `tps-core` ([`spsc`]),
+//! * the bounded, blocking SPSC ring behind the persistent sharded
+//!   runtime in `tps-core` ([`spsc`]),
 //! * the framed coordinator↔worker control protocol of the cross-process
 //!   ingest service ([`wire`]),
 //! * the typed query surface — consistency levels, options, reply
@@ -57,5 +57,4 @@ pub use model::{
 };
 pub use query::{QueryConsistency, QueryOptions, QuerySnapshot};
 pub use space::SpaceUsage;
-pub use spsc::Backpressure;
 pub use update::{Item, MatrixUpdate, SignedUpdate, StreamUpdate, Timestamp, WindowSpec};

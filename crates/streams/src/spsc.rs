@@ -21,6 +21,11 @@
 //!   channel: a closed-and-empty `pop` returns `None`, a closed `push`
 //!   hands the value back.
 //!
+//! The ring has no flow-control policy of its own: a full ring either
+//! rejects a [`Producer::try_push`] or parks a [`Producer::push`]. The
+//! runtime uses exactly that pair — try, count the miss, then block — so a
+//! routed chunk is never dropped or buffered outside the ring.
+//!
 //! The indices are monotonically increasing `usize` values reduced by a
 //! power-of-two mask; `tail - head` is the queue length (wrapping
 //! subtraction keeps this correct across index overflow).
@@ -29,32 +34,6 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// What the sharded runtime does when a shard's ingest ring is full.
-///
-/// This is a *policy* type (consumed by `tps_core::runtime`); it lives here
-/// with the queue because the semantics are defined by what the queue can
-/// and cannot promise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backpressure {
-    /// Block the caller until the worker drains a slot. Ingest throughput
-    /// then tracks the slowest shard, but memory stays bounded by
-    /// `capacity × chunk` per shard.
-    #[default]
-    Block,
-    /// Never block: the caller keeps the chunk in a coordinator-side spill
-    /// queue and retries on later calls (and drains it, blocking, before
-    /// any barrier). Ingest calls stay non-blocking even while a worker is
-    /// busy emitting a snapshot, at the cost of temporarily unbounded
-    /// coordinator memory under sustained overload.
-    Spill,
-    /// Never block *and* never buffer: a chunk that finds its ring full is
-    /// dropped on the floor (load shedding), counted in the runtime's
-    /// stats. Both latency and memory stay bounded under overload; the
-    /// price is that the sampler answers for the *admitted* sub-stream, so
-    /// front-ends choosing this policy must watch the drop counters.
-    Fail,
-}
 
 /// Error returned by [`Producer::try_push`], carrying the rejected value.
 #[derive(Debug, PartialEq, Eq)]

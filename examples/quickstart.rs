@@ -9,7 +9,7 @@
 //!
 //! The example walks the public surface end to end: build a sharded
 //! sampler with [`ShardedSamplerBuilder`], ingest a skewed stream, read
-//! the runtime's backpressure counters, checkpoint mid-stream with
+//! the runtime's flow-control counters, checkpoint mid-stream with
 //! [`snapshot_bytes`], restore a replica with [`restore_bytes`] and show
 //! the two stay byte-identical as both keep ingesting — then run the
 //! turnstile (insert *and* delete) kind through the same sharded
@@ -22,9 +22,8 @@ use truly_perfect_samplers::streams::generators::zipfian_stream;
 use truly_perfect_samplers::streams::stats::{expected_sampling_tv, SampleHistogram};
 use truly_perfect_samplers::streams::SpaceUsage;
 use truly_perfect_samplers::{
-    restore_bytes, snapshot_bytes, Backpressure, SampleOutcome, ShardedSampler,
-    ShardedSamplerBuilder, SignedUpdate, StreamSampler, StrictTurnstileF0Sampler,
-    TrulyPerfectLpSampler, TurnstileSampler,
+    restore_bytes, snapshot_bytes, SampleOutcome, ShardedSampler, ShardedSamplerBuilder,
+    SignedUpdate, StreamSampler, StrictTurnstileF0Sampler, TrulyPerfectLpSampler, TurnstileSampler,
 };
 
 fn main() {
@@ -40,12 +39,9 @@ fn main() {
     let (head, tail) = stream.split_at(stream.len() / 2);
 
     // --- The parallel front-end, builder-first -------------------------
-    let mut sharded = ShardedSamplerBuilder::new(4)
-        .seed(seed)
-        .backpressure(Backpressure::Spill)
-        .build(|shard| {
-            TrulyPerfectLpSampler::new(p, universe, 0.05, seed ^ ((shard as u64) << 32))
-        });
+    let mut sharded = ShardedSamplerBuilder::new(4).seed(seed).build(|shard| {
+        TrulyPerfectLpSampler::new(p, universe, 0.05, seed ^ ((shard as u64) << 32))
+    });
     sharded.update_batch(head);
 
     // --- Checkpoint / restore through the facade helpers ---------------
@@ -65,8 +61,8 @@ fn main() {
     println!("shards                   : {}", sharded.shard_count());
     println!("checkpoint size          : {} bytes", checkpoint.len());
     println!(
-        "runtime chunks           : {} ({} spilled, {} blocked)",
-        stats.chunks, stats.spilled, stats.blocked
+        "runtime chunks           : {} ({} blocked)",
+        stats.chunks, stats.blocked
     );
     match sharded.sample() {
         SampleOutcome::Index(item) => println!("merged L2 sample         : item {item}"),

@@ -21,13 +21,12 @@
 //!
 //! ```
 //! use truly_perfect_samplers::{
-//!     restore_bytes, snapshot_bytes, Backpressure, QueryOptions, ShardedSampler,
-//!     ShardedSamplerBuilder, StreamSampler, TrulyPerfectLpSampler,
+//!     restore_bytes, snapshot_bytes, QueryOptions, ShardedSampler, ShardedSamplerBuilder,
+//!     StreamSampler, TrulyPerfectLpSampler,
 //! };
 //!
 //! let mut sharded = ShardedSamplerBuilder::new(4)
 //!     .seed(42)
-//!     .backpressure(Backpressure::Spill)
 //!     .build(|shard| TrulyPerfectLpSampler::new(2.0, 1024, 0.05, 42 ^ ((shard as u64) << 32)));
 //! sharded.update_batch(&[3, 3, 3, 7, 7, 11]);
 //!
@@ -68,8 +67,8 @@ pub use tps_core::{
 pub use tps_service::{QueryClient, QueryError, QueryReport};
 pub use tps_streams::codec::migrate::upgrade_to_current;
 pub use tps_streams::{
-    Backpressure, CodecError, MergeableSampler, MergeableSummary, Restore, SampleOutcome,
-    SignedUpdate, SlidingWindowSampler, Snapshot, StreamSampler, TurnstileSampler,
+    CodecError, MergeableSampler, MergeableSummary, Restore, SampleOutcome, SignedUpdate,
+    SlidingWindowSampler, Snapshot, StreamSampler, TurnstileSampler,
 };
 pub use tps_streams::{QueryConsistency, QueryOptions, QuerySnapshot};
 

@@ -16,8 +16,7 @@ use std::path::PathBuf;
 use tps_core::lp::TrulyPerfectLpSampler;
 use tps_core::sharded::ShardedSampler;
 use tps_streams::codec::migrate::{migrate_v1_to_v2, upgrade_to_current};
-use tps_streams::codec::{peek_version, CodecError, Restore, FORMAT_VERSION};
-use tps_streams::spsc::Backpressure;
+use tps_streams::codec::{peek_version, CodecError, Restore, Snapshot, FORMAT_VERSION};
 
 /// Every file of the preserved v1 corpus.
 const V1_CORPUS_FILES: &[&str] = &[
@@ -94,10 +93,11 @@ fn migrated_sharded_sampler_restores_with_frozen_v1_defaults() {
     let migrated = upgrade_to_current(&v1).expect("sharded v1 snapshot migrates");
     let mut sampler: ShardedSampler<TrulyPerfectLpSampler> =
         ShardedSampler::restore(&migrated).expect("migrated sharded snapshot restores");
-    assert_eq!(sampler.backpressure(), Backpressure::Block);
     assert_eq!(sampler.parallel_cutoff(), 4_096);
-    assert_eq!(sampler.chunk_len(), 32 * 1024);
     assert_eq!(sampler.shard_count(), 3);
+    // The spliced legacy fields (block, 32Ki-item chunks) are exactly what
+    // today's encoder writes.
+    assert_eq!(sampler.snapshot(), migrated);
     // The restored sampler is live: it ingests and answers.
     use tps_streams::StreamSampler;
     let before = sampler.processed();
