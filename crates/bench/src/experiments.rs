@@ -760,7 +760,8 @@ pub struct ShardedRow {
     pub critical_path_speedup: f64,
 }
 
-/// E12: the shard-count scaling curve of [`ShardedSampler`] ingest.
+/// E12: the shard-count scaling curve of
+/// [`ShardedSampler`](tps_core::sharded::ShardedSampler) ingest.
 #[derive(Debug, Clone)]
 pub struct ShardedScaling {
     /// Worker parallelism available to the process (shard workers beyond
@@ -781,8 +782,8 @@ pub struct ShardedScaling {
 /// (reported in `cores`): on a `c`-core host the wall-clock plateau is
 /// bounded by `min(shards, c)` and, past that, by the coordinator's
 /// route-and-stage pass. The timed region includes the final
-/// [`ShardedSampler::flush`] so enqueued-but-unapplied chunks cannot
-/// flatter the wall clock.
+/// [`ShardedSampler::flush`](tps_core::sharded::ShardedSampler::flush) so
+/// enqueued-but-unapplied chunks cannot flatter the wall clock.
 pub fn e12_sharded(stream_length: usize, universe: u64, shard_counts: &[usize]) -> ShardedScaling {
     use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
 
@@ -1138,8 +1139,9 @@ pub struct CheckpointBench {
 }
 
 /// E14: checkpoint every `stream_length / checkpoints` updates of a
-/// Zipf(1.5) hot-shard stream through [`IncrementalCheckpointer`], then
-/// recover by replaying the chain — the single-shard core of the
+/// Zipf(1.5) hot-shard stream through
+/// [`IncrementalCheckpointer`](tps_streams::codec::delta::IncrementalCheckpointer),
+/// then recover by replaying the chain — the single-shard core of the
 /// `tps-service` durability loop.
 ///
 /// Between consecutive checkpoints the skewed stream touches few distinct

@@ -23,7 +23,7 @@
 //! The reservoir machinery itself — skip-ahead replacement scheduling, the
 //! shared suffix-count table giving `O(1)` expected update time, and the
 //! amortised batched-update path — lives in the shared
-//! [`SkipAheadEngine`](crate::engine::SkipAheadEngine) (one engine per
+//! [`SkipAheadEngine`] (one engine per
 //! sampler here; one per cohort in [`crate::sliding`]). This module is the
 //! adapter that adds the `G`-function plumbing: the rejection normaliser is
 //! driven alongside the engine's ingestion, and the query path runs the
@@ -67,7 +67,7 @@ pub trait RejectionNormalizer {
     /// Merges two normalisers into one whose `ζ` is a certain bound for the
     /// concatenation of the two observed streams (this is what makes
     /// [`TrulyPerfectGSampler`] a
-    /// [`MergeableSampler`](tps_streams::MergeableSampler)). Certainty must
+    /// [`MergeableSampler`]). Certainty must
     /// be preserved: the merged bound may be looser, never invalid.
     fn merge(self, other: Self) -> Self
     where
@@ -207,7 +207,7 @@ impl RejectionNormalizer for MisraGriesNormalizer {
     }
 
     /// Misra–Gries summaries merge with additive error bounds
-    /// ([`MisraGries::merge`]), so the merged `Z` stays a certain upper
+    /// ([`MisraGries`]'s `merge`), so the merged `Z` stays a certain upper
     /// bound on `‖f‖_∞` of the concatenated stream.
     fn merge(self, other: Self) -> Self {
         assert!(

@@ -47,11 +47,11 @@
 //! * [`sharded`] — the scatter-gather front-end: hash- or round-robin-
 //!   partitioned parallel ingest across `k` shard instances, answered by
 //!   query-time merging (`tps_streams::MergeableSampler`).
-//! * [`runtime`] — the persistent sharded runtime underneath [`sharded`]:
-//!   one long-lived worker thread per shard behind a bounded SPSC command
-//!   ring, blocking flow control (a full ring parks the sender; no chunk
-//!   is ever dropped) and consistent-cut snapshot barriers for
-//!   snapshot-isolated queries.
+//! * [`runtime`] — the consistent-cut protocol under [`sharded`] and the
+//!   ingest service: the `ShardLink` seam, the barrier collector
+//!   `barrier_all`, and the in-thread `RingLink` (one long-lived worker
+//!   per shard behind a bounded SPSC ring; a full ring parks the sender,
+//!   no chunk is ever dropped).
 //!
 //! ## Quick example
 //!

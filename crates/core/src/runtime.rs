@@ -1,349 +1,304 @@
-//! The persistent sharded runtime: long-lived worker threads behind
-//! bounded SPSC command rings.
+//! The consistent-cut protocol, written once for threads and processes.
 //!
-//! PR 3's scatter-gather front-end ([`crate::sharded`]) paid two system
-//! costs the samplers themselves never charge: every `update_batch` spawned
-//! and joined `2k` scoped threads, and every query deep-cloned all `k`
-//! shards before fold-merging (`O(total state)` on the query path, with
-//! ingest stalled behind it). This module removes both:
-//!
-//! * **Persistent workers.** [`ShardPool::start`] pins each shard to one
-//!   long-lived OS thread fed by a bounded SPSC ring
-//!   ([`tps_streams::spsc`]) of coarse commands ([`ShardCmd`]): ingest
-//!   chunks, epoch barriers, snapshot requests. Steady-state ingest pays a
-//!   ring push per ~64k-item chunk instead of a spawn/join per batch.
-//! * **Snapshot-isolated queries.** A snapshot barrier makes every worker
-//!   emit its shard's PR-4 codec snapshot *in-band* — after everything
-//!   enqueued before the barrier, before anything after it — so the `k`
-//!   byte records form a consistent cut of the stream. The coordinator
-//!   restores and fold-merges them off the ingest path; by the pinned
-//!   restore-then-merge ≡ in-process-merge law the answer is byte-identical
-//!   to merging live clones, but ingest only stalls for the (cheap,
-//!   per-shard) serialisation, never for the merge.
-//! * **Blocking flow control.** Each ring holds a fixed handful of
-//!   chunks; when a shard's ring is full, [`ShardPool::send`] blocks the
-//!   caller until that worker drains a slot. Every routed chunk is
-//!   delivered — a truly perfect sampler must answer for the whole stream,
-//!   not an admitted sub-stream — and coordinator memory stays bounded by
-//!   the ring capacity times the chunk size per shard. Parking events are
-//!   counted in [`RuntimeStats`] so front-ends can observe the pressure.
+//! A truly perfect sampler's answer at a query point must be exactly the
+//! reference merge at that cut. Both stacks reach that cut the same way:
+//! ship routed chunks to `k` shard owners, each a [`ShardLink`], then
+//! [`barrier_all`]. A [`BarrierKind::Query`] barrier makes every owner
+//! emit its shard's sealed snapshot *in-band* — after everything shipped
+//! before the barrier, before anything after it — so the `k` records form
+//! a consistent cut, which the caller restores and folds with
+//! [`crate::sharded::fold_merge`]. The ingest service implements the link
+//! over a wire connection; this module's [`RingLink`] implements it with
+//! one long-lived worker thread per shard, fed by a bounded SPSC ring
+//! ([`tps_streams::spsc`]) of 32Ki-item chunks and barriers. A full ring
+//! blocks `ship` until the worker drains a slot, so every routed chunk is
+//! delivered and memory stays bounded; [`RuntimeStats`] counts the parks.
 //!
 //! ## Ownership and safety model
 //!
 //! The coordinator (e.g. [`crate::sharded::ShardedSampler`]) keeps owning
-//! its shard states; the pool borrows them as raw pointers for the workers.
-//! Exclusivity is protocol-enforced rather than type-enforced, which is why
-//! [`ShardPool::start`] is `unsafe`:
+//! its shard states; a ring link borrows one as a raw pointer for its
+//! worker, which is why [`RingLink::start`] is `unsafe`:
 //!
-//! * between `start` and the pool's drop, worker `j` is the only code that
-//!   dereferences shard `j`'s pointer — **except** when the coordinator has
-//!   completed a barrier ([`ShardPool::flush`] / [`ShardPool::snapshot_all`])
-//!   and has not yet sent another command; in that window every ring is
-//!   empty and every worker is parked on its ring, so the coordinator may
-//!   read (or, with `&mut` access, mutate) the shards directly;
-//! * dropping the pool closes every ring, lets each worker drain what is
-//!   already queued, and joins it — after which the shards are plain owned
-//!   data again. A worker panic is re-raised on the coordinator thread at
-//!   the next barrier (or at drop), never swallowed.
+//! * between `start` and the link's drop, the worker is the only code that
+//!   dereferences the pointer — **except** after the coordinator collected
+//!   a barrier's ack and before it sends the next command: the ring is
+//!   then empty and the worker parked, so the coordinator may read (or,
+//!   with `&mut` access, mutate) the shard directly;
+//! * dropping the link closes the ring, lets the worker drain what is
+//!   already queued, and joins it. A worker that panics drops its reply
+//!   sender, so the next `ack` (or a `ship` into its closed ring) joins it
+//!   and re-raises the panic on the coordinator thread, as drop does.
 
+use std::io;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use tps_streams::codec::Snapshot;
 use tps_streams::spsc::{self, Consumer, Producer, PushError};
+use tps_streams::wire::BarrierKind;
 use tps_streams::{Item, StreamUpdate, UpdateSampler};
+
+/// One shard owner behind the consistent-cut protocol. Chunks and
+/// barriers are applied in send order; a caller reads a barrier's ack
+/// before it ships on the link again (as [`barrier_all`] does).
+pub trait ShardLink<U> {
+    /// Ships one routed chunk, blocking while the link's window is full,
+    /// and returns an empty buffer to route the next chunk into.
+    fn ship(&mut self, chunk: Vec<U>) -> io::Result<Vec<U>>;
+
+    /// Sends a barrier: once every chunk shipped before it is applied, the
+    /// shard owner acks `epoch`, with its sealed snapshot when `kind`
+    /// publishes one.
+    fn barrier(&mut self, epoch: u64, kind: BarrierKind) -> io::Result<()>;
+
+    /// Reads the next barrier ack: the epoch it acknowledges and the
+    /// snapshot it carries, if any. [`collect_acks`] checks both.
+    fn ack(&mut self) -> io::Result<(u64, Option<Vec<u8>>)>;
+}
+
+/// Whether an ack to a barrier of `kind` carries the shard's snapshot.
+fn publishes(kind: BarrierKind) -> bool {
+    matches!(kind, BarrierKind::Query | BarrierKind::CheckpointPublish)
+}
+
+/// The consistent-cut barrier: [`send_barrier`] then [`collect_acks`].
+/// Returns the snapshots in shard order for a publishing `kind`
+/// ([`BarrierKind::Query`], [`BarrierKind::CheckpointPublish`]), an empty
+/// vector otherwise.
+pub fn barrier_all<U, L: ShardLink<U>>(
+    links: &mut [L],
+    epoch: u64,
+    kind: BarrierKind,
+) -> io::Result<Vec<Vec<u8>>> {
+    send_barrier(links, epoch, kind)?;
+    collect_acks(links, epoch, kind)
+}
+
+/// The first half of [`barrier_all`]: sends the barrier on every link.
+pub fn send_barrier<U, L: ShardLink<U>>(
+    links: &mut [L],
+    epoch: u64,
+    kind: BarrierKind,
+) -> io::Result<()> {
+    links
+        .iter_mut()
+        .try_for_each(|link| link.barrier(epoch, kind))
+}
+
+/// The second half of [`barrier_all`]: reads one ack per link, in shard
+/// order. An ack for another epoch, or one whose snapshot is missing (or
+/// present) against what `kind` publishes, fails as
+/// [`io::ErrorKind::InvalidData`] naming the shard.
+pub fn collect_acks<U, L: ShardLink<U>>(
+    links: &mut [L],
+    epoch: u64,
+    kind: BarrierKind,
+) -> io::Result<Vec<Vec<u8>>> {
+    let mut snapshots = Vec::new();
+    for (shard, link) in links.iter_mut().enumerate() {
+        let wrong = match link.ack()? {
+            (acked, _) if acked != epoch => format!("is for epoch {acked}"),
+            (_, Some(bytes)) if publishes(kind) => {
+                snapshots.push(bytes);
+                continue;
+            }
+            (_, None) if !publishes(kind) => continue,
+            (_, Some(_)) => "carries a snapshot".into(),
+            (_, None) => "lacks a snapshot".into(),
+        };
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("shard {shard}: its ack of the {kind:?} barrier at epoch {epoch} {wrong}"),
+        ));
+    }
+    Ok(snapshots)
+}
 
 /// Commands buffered per shard ring: enough in-flight chunks to ride out
 /// scheduling hiccups, few enough that blocked-ingest memory stays bounded.
 const RING_CAPACITY: usize = 8;
 
-/// Pressure and throughput counters for a [`ShardPool`] (cumulative over
-/// the pool's lifetime, summed across shards). Cheap to read — plain
-/// coordinator-side integers, no atomics, no barrier.
+/// Pressure and throughput counters of the in-process runtime (cumulative
+/// over the runtime's lifetime, summed across shards). Cheap to read —
+/// plain coordinator-side integers, no atomics, no barrier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Chunks delivered to a shard ring.
     pub chunks: u64,
     /// Times an ingest call found a ring full and had to park.
     pub blocked: u64,
-    /// Always 0: the pool never spills a chunk to a coordinator-side
+    /// Always 0: the runtime never spills a chunk to a coordinator-side
     /// queue. Kept only so existing stats reports keep their field.
     pub spilled: u64,
-    /// Snapshot barriers completed ([`ShardPool::snapshot_all`]) — each
-    /// one is a consistent-cut query the pool served by serialising every
-    /// shard in-band.
+    /// Snapshot barriers completed — each one is a consistent-cut query
+    /// the runtime served by serialising every shard in-band.
     pub snapshots: u64,
 }
 
-/// One command on a shard's ingest ring. Coarse by design: the ring is
-/// crossed once per chunk, not once per update.
+/// One command on a shard's ring. Coarse by design: the ring is crossed
+/// once per chunk, not once per update.
 enum ShardCmd<U> {
     /// Feed a chunk of routed updates through the shard's batched ingest
     /// path. The buffer is recycled back to the coordinator once drained.
     Ingest(Vec<U>),
-    /// Epoch barrier: acknowledge once everything enqueued earlier has been
-    /// applied. With `snapshot` set, also emit the shard's sealed snapshot
-    /// bytes at that point — the consistent-cut query mechanism.
-    Barrier { epoch: u64, snapshot: bool },
+    /// Acknowledge once everything enqueued earlier has been applied, with
+    /// the shard's sealed snapshot when `kind` publishes one.
+    Barrier { epoch: u64, kind: BarrierKind },
 }
 
-/// Worker → coordinator responses (one shared `std::sync::mpsc` hub).
+/// Worker → coordinator responses, on the link's own channel.
 enum ShardReply<U> {
     /// A drained ingest buffer, cleared, for the coordinator to reuse.
     Recycled(Vec<U>),
     /// Barrier acknowledgement (with snapshot bytes if requested).
-    Barrier {
-        shard: usize,
-        epoch: u64,
-        snapshot: Option<Vec<u8>>,
-    },
+    Ack(u64, Option<Vec<u8>>),
 }
 
 /// Sends a shard pointer into its worker thread. Safety is argued at the
-/// single place these are created, [`ShardPool::start`].
+/// single place these are created, [`RingLink::start`].
 struct ShardPtr<S>(*mut S);
 unsafe impl<S: Send> Send for ShardPtr<S> {}
 
-/// A pool of persistent shard workers (see the module docs).
-///
-/// Not generic over the sampler type: the type is erased into the worker
-/// closures at [`ShardPool::start`], so coordinators can hold a `ShardPool`
-/// without threading `S` through their own fields. It *is* generic over the
-/// update type `U` moving through the rings — the sampler-family seam: the
-/// same pool hosts insertion-only shards (`U = Item`, the default) and
-/// turnstile shards (`U = SignedUpdate`) with identical transport,
-/// flow-control and barrier machinery.
-///
-/// [`SignedUpdate`]: tps_streams::SignedUpdate
-pub struct ShardPool<U: StreamUpdate = Item> {
-    producers: Vec<Producer<ShardCmd<U>>>,
-    handles: Vec<Option<JoinHandle<()>>>,
+/// The in-thread [`ShardLink`]: one persistent worker thread applying one
+/// shard's commands from an SPSC ring, with its own reply channel (see the
+/// module docs). The sampler type is erased into the worker at
+/// [`RingLink::start`]; `U` is the update type moving through the ring.
+/// Every barrier flushes; the publishing kinds also snapshot the shard. A
+/// ring link has no durable store, so the checkpoint kinds write nothing.
+pub struct RingLink<U: StreamUpdate = Item> {
+    shard: usize,
+    /// `None` only inside `drop`, which closes the ring by dropping it.
+    commands: Option<Producer<ShardCmd<U>>>,
     replies: mpsc::Receiver<ShardReply<U>>,
-    /// Cleared ingest buffers handed back by workers, reused by
-    /// [`ShardPool::take_buffer`] so steady-state ingest allocates nothing.
+    worker: Option<JoinHandle<()>>,
+    /// Cleared ingest buffers handed back by the worker, returned by
+    /// `ship` so steady-state ingest allocates nothing.
     free: Vec<Vec<U>>,
-    epoch: u64,
     stats: RuntimeStats,
 }
 
-/// How long a barrier wait sleeps between liveness checks of the workers.
-const BARRIER_POLL: Duration = Duration::from_millis(100);
-
-impl<U: StreamUpdate> ShardPool<U> {
-    /// Spawns one persistent worker per pointer in `shards` and wires each
-    /// to a bounded command ring of `RING_CAPACITY` slots.
+impl<U: StreamUpdate> RingLink<U> {
+    /// Spawns the persistent worker for shard `shard`, the state behind
+    /// `ptr`, and wires it to a bounded ring of `RING_CAPACITY` slots.
     ///
     /// # Safety
     ///
-    /// Every pointer must stay valid and un-aliased for the pool's whole
-    /// lifetime: until this `ShardPool` is dropped, the pointee may only be
-    /// accessed (a) by its worker thread, and (b) by the caller *between* a
-    /// completed barrier ([`Self::flush`] / [`Self::snapshot_all`]) and the
-    /// next command sent to that shard. In particular the allocation the
-    /// pointers point into must not move or be freed while the pool is
-    /// alive (the pool joins its workers on drop, so dropping the pool
-    /// before the pointees is sufficient).
-    pub unsafe fn start<S>(shards: &[*mut S]) -> Self
+    /// `ptr` must stay valid and un-aliased for the link's whole lifetime:
+    /// until this `RingLink` is dropped, the pointee may only be accessed
+    /// (a) by the worker thread, and (b) by the caller *between* collecting
+    /// a barrier's ack and sending the link its next command. In
+    /// particular the pointee must not move or be freed while the link is
+    /// alive (the link joins its worker on drop, so dropping the link
+    /// before the pointee is sufficient).
+    pub unsafe fn start<S>(shard: usize, ptr: *mut S) -> Self
     where
         S: UpdateSampler<U> + Snapshot + Send + 'static,
     {
-        assert!(!shards.is_empty(), "need at least one shard");
-        let (reply_tx, replies) = mpsc::channel::<ShardReply<U>>();
-        let mut producers = Vec::with_capacity(shards.len());
-        let mut handles = Vec::with_capacity(shards.len());
-        for (index, &shard) in shards.iter().enumerate() {
-            let (tx, rx) = spsc::ring::<ShardCmd<U>>(RING_CAPACITY);
-            let reply_tx = reply_tx.clone();
-            let ptr = ShardPtr(shard);
-            let handle = std::thread::Builder::new()
-                .name(format!("tps-shard-{index}"))
-                .spawn(move || worker_loop(ptr, rx, index, reply_tx))
-                .expect("spawn shard worker");
-            producers.push(tx);
-            handles.push(Some(handle));
-        }
+        let (commands, ring) = spsc::ring::<ShardCmd<U>>(RING_CAPACITY);
+        let (reply_tx, replies) = mpsc::channel();
+        let ptr = ShardPtr(ptr);
+        let worker = std::thread::Builder::new()
+            .name(format!("tps-shard-{shard}"))
+            .spawn(move || worker_loop(ptr, ring, reply_tx))
+            .expect("spawn shard worker");
         Self {
-            free: Vec::new(),
-            producers,
-            handles,
+            shard,
+            commands: Some(commands),
             replies,
-            epoch: 0,
+            worker: Some(worker),
+            free: Vec::new(),
             stats: RuntimeStats::default(),
         }
     }
 
-    /// Number of shard workers.
-    pub fn num_shards(&self) -> usize {
-        self.producers.len()
-    }
-
-    /// Cumulative pressure/throughput counters (see [`RuntimeStats`]).
+    /// This link's `chunks` and `blocked` counters.
     pub fn stats(&self) -> RuntimeStats {
         self.stats
     }
 
-    /// A cleared, capacity-bearing ingest buffer — recycled from a worker
-    /// when one is available, freshly allocated otherwise.
-    pub fn take_buffer(&mut self) -> Vec<U> {
-        if self.free.is_empty() {
-            self.harvest_replies();
-        }
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Enqueues one routed chunk for `shard`, blocking while that shard's
-    /// ring is full. Chunks reach each worker in send order.
-    pub fn send(&mut self, shard: usize, chunk: Vec<U>) {
-        if chunk.is_empty() {
-            self.free.push(chunk);
-            return;
-        }
+    /// Enqueues `cmd`, parking while the ring is full; `true` when it had
+    /// to park.
+    fn push(&mut self, cmd: ShardCmd<U>) -> bool {
+        let commands = self.commands.as_mut().expect("ring open until drop");
         // Fast path first so the parking events are observable.
-        match self.producers[shard].try_push(ShardCmd::Ingest(chunk)) {
-            Ok(()) => {}
+        match commands.try_push(cmd) {
+            Ok(()) => false,
             Err(PushError::Full(cmd)) => {
-                self.stats.blocked += 1;
-                if self.producers[shard].push(cmd).is_err() {
-                    self.worker_died(shard);
+                if commands.push(cmd).is_err() {
+                    self.worker_died();
                 }
+                true
             }
-            Err(PushError::Disconnected(_)) => self.worker_died(shard),
-        }
-        self.stats.chunks += 1;
-    }
-
-    /// Blocks until everything sent so far has been applied by every worker. On return all rings are empty and the
-    /// coordinator may touch the shard states directly (see
-    /// [`Self::start`]'s contract).
-    pub fn flush(&mut self) {
-        let _ = self.barrier(false);
-    }
-
-    /// Consistent-cut query: blocks until every worker has applied its
-    /// pending ingest and emitted its shard's snapshot at that point.
-    /// Returns the `k` sealed snapshot byte records in shard order.
-    pub fn snapshot_all(&mut self) -> Vec<Vec<u8>> {
-        self.barrier(true)
-            .into_iter()
-            .map(|bytes| bytes.expect("snapshot barrier returns bytes for every shard"))
-            .collect()
-    }
-
-    fn barrier(&mut self, snapshot: bool) -> Vec<Option<Vec<u8>>> {
-        self.epoch += 1;
-        if snapshot {
-            self.stats.snapshots += 1;
-        }
-        let epoch = self.epoch;
-        for shard in 0..self.producers.len() {
-            if self.producers[shard]
-                .push(ShardCmd::Barrier { epoch, snapshot })
-                .is_err()
-            {
-                self.worker_died(shard);
-            }
-        }
-        let k = self.producers.len();
-        let mut pending = k;
-        let mut acked = vec![false; k];
-        let mut out: Vec<Option<Vec<u8>>> = (0..k).map(|_| None).collect();
-        while pending > 0 {
-            match self.replies.recv_timeout(BARRIER_POLL) {
-                Ok(ShardReply::Recycled(buffer)) => self.recycle(buffer),
-                Ok(ShardReply::Barrier {
-                    shard,
-                    epoch: acked_epoch,
-                    snapshot,
-                }) => {
-                    // Barriers are issued and awaited serially, so every
-                    // ack we can see belongs to the current epoch.
-                    debug_assert_eq!(acked_epoch, epoch, "barrier epochs must serialise");
-                    debug_assert!(!acked[shard], "one ack per shard per barrier");
-                    acked[shard] = true;
-                    out[shard] = snapshot;
-                    pending -= 1;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(dead) = (0..k).find(|&shard| {
-                        !acked[shard]
-                            && self.handles[shard]
-                                .as_ref()
-                                .is_some_and(JoinHandle::is_finished)
-                    }) {
-                        self.worker_died(dead);
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Every worker holds a reply sender for its lifetime;
-                    // all of them gone mid-barrier means they all died.
-                    self.worker_died(0);
-                }
-            }
-        }
-        out
-    }
-
-    /// Drains any already-delivered replies without blocking (harvesting
-    /// recycled buffers on the ingest path).
-    fn harvest_replies(&mut self) {
-        while let Ok(reply) = self.replies.try_recv() {
-            match reply {
-                ShardReply::Recycled(buffer) => self.recycle(buffer),
-                ShardReply::Barrier { .. } => {
-                    unreachable!("barrier acks are consumed by the issuing barrier")
-                }
-            }
+            Err(PushError::Disconnected(_)) => self.worker_died(),
         }
     }
 
     fn recycle(&mut self, buffer: Vec<U>) {
-        // Bound the free list: beyond a few buffers per shard the extras
-        // are dead capacity.
-        if self.free.len() < 4 * self.producers.len() {
+        // Bound the free list: beyond a few buffers the extras are dead
+        // capacity.
+        if self.free.len() < 4 {
             self.free.push(buffer);
         }
     }
 
-    /// A worker's ring disconnected or its thread finished early: the only
-    /// cause is a panic in the shard's own update path. Join it and re-raise
-    /// the payload on the coordinator thread.
-    fn worker_died(&mut self, shard: usize) -> ! {
-        if let Some(handle) = self.handles[shard].take() {
-            if let Err(payload) = handle.join() {
+    /// The worker's ring closed or its reply channel hung up before the
+    /// link did: the only cause is a panic in the shard's own update path.
+    /// Join it and re-raise the payload on the coordinator thread.
+    fn worker_died(&mut self) -> ! {
+        if let Some(worker) = self.worker.take() {
+            if let Err(payload) = worker.join() {
                 std::panic::resume_unwind(payload);
             }
         }
-        panic!("shard worker {shard} exited before its pool shut down");
+        panic!("shard worker {} exited before its link closed", self.shard);
     }
 }
 
-impl<U: StreamUpdate> Drop for ShardPool<U> {
-    fn drop(&mut self) {
-        // Closing the rings (dropping the producers) is the shutdown
-        // signal: each worker drains what is already queued, then exits —
-        // drop is a graceful drain, not an abort.
-        self.producers.clear();
-        let mut worker_panic = None;
-        for handle in self.handles.iter_mut().filter_map(Option::take) {
-            if let Err(payload) = handle.join() {
-                worker_panic.get_or_insert(payload);
+impl<U: StreamUpdate> ShardLink<U> for RingLink<U> {
+    fn ship(&mut self, chunk: Vec<U>) -> io::Result<Vec<U>> {
+        if self.push(ShardCmd::Ingest(chunk)) {
+            self.stats.blocked += 1;
+        }
+        self.stats.chunks += 1;
+        if self.free.is_empty() {
+            while let Ok(reply) = self.replies.try_recv() {
+                match reply {
+                    ShardReply::Recycled(buffer) => self.recycle(buffer),
+                    ShardReply::Ack(..) => unreachable!("acks are read before the next ship"),
+                }
             }
         }
-        if let Some(payload) = worker_panic {
+        Ok(self.free.pop().unwrap_or_default())
+    }
+
+    fn barrier(&mut self, epoch: u64, kind: BarrierKind) -> io::Result<()> {
+        self.push(ShardCmd::Barrier { epoch, kind });
+        Ok(())
+    }
+
+    fn ack(&mut self) -> io::Result<(u64, Option<Vec<u8>>)> {
+        loop {
+            match self.replies.recv() {
+                Ok(ShardReply::Recycled(buffer)) => self.recycle(buffer),
+                Ok(ShardReply::Ack(epoch, snapshot)) => return Ok((epoch, snapshot)),
+                Err(mpsc::RecvError) => self.worker_died(),
+            }
+        }
+    }
+}
+
+impl<U: StreamUpdate> Drop for RingLink<U> {
+    fn drop(&mut self) {
+        // Closing the ring is the shutdown signal: the worker drains what
+        // is already queued, then exits — drop is a graceful drain, not an
+        // abort.
+        self.commands = None;
+        if let Some(Err(payload)) = self.worker.take().map(JoinHandle::join) {
             if !std::thread::panicking() {
                 std::panic::resume_unwind(payload);
             }
         }
-    }
-}
-
-impl<U: StreamUpdate> std::fmt::Debug for ShardPool<U> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("num_shards", &self.num_shards())
-            .field("epoch", &self.epoch)
-            .finish()
     }
 }
 
@@ -352,32 +307,30 @@ impl<U: StreamUpdate> std::fmt::Debug for ShardPool<U> {
 fn worker_loop<S, U>(
     ptr: ShardPtr<S>,
     mut commands: Consumer<ShardCmd<U>>,
-    shard: usize,
     replies: mpsc::Sender<ShardReply<U>>,
 ) where
     S: UpdateSampler<U> + Snapshot + Send,
     U: StreamUpdate,
 {
     while let Some(cmd) = commands.pop() {
-        match cmd {
+        let reply = match cmd {
             ShardCmd::Ingest(mut chunk) => {
-                // SAFETY: per `ShardPool::start`'s contract this worker has
+                // SAFETY: per `RingLink::start`'s contract this worker has
                 // exclusive access to the pointee while commands are in
                 // flight.
                 unsafe { (*ptr.0).ingest_batch(&chunk) };
                 chunk.clear();
-                let _ = replies.send(ShardReply::Recycled(chunk));
+                ShardReply::Recycled(chunk)
             }
-            ShardCmd::Barrier { epoch, snapshot } => {
+            ShardCmd::Barrier { epoch, kind } => {
                 // SAFETY: as above; `snapshot` only needs `&S`.
-                let bytes = snapshot.then(|| unsafe { (*ptr.0).snapshot() });
-                let _ = replies.send(ShardReply::Barrier {
-                    shard,
+                ShardReply::Ack(
                     epoch,
-                    snapshot: bytes,
-                });
+                    publishes(kind).then(|| unsafe { (*ptr.0).snapshot() }),
+                )
             }
-        }
+        };
+        let _ = replies.send(reply);
     }
 }
 
@@ -385,6 +338,7 @@ fn worker_loop<S, U>(
 mod tests {
     use super::*;
     use crate::lp::TrulyPerfectLpSampler;
+    use std::time::Duration;
     use tps_streams::codec::Restore;
     use tps_streams::StreamSampler;
 
@@ -397,6 +351,18 @@ mod tests {
     fn stream(len: usize) -> Vec<Item> {
         (0..len as u64)
             .map(|i| i.wrapping_mul(0x9E37) % 97)
+            .collect()
+    }
+
+    fn links<S>(shards: &mut [S]) -> Vec<RingLink>
+    where
+        S: UpdateSampler<Item> + Snapshot + Send + 'static,
+    {
+        shards
+            .iter_mut()
+            .enumerate()
+            // SAFETY: every caller drops the links before the shards.
+            .map(|(j, s)| unsafe { RingLink::start(j, s as *mut S) })
             .collect()
     }
 
@@ -424,38 +390,41 @@ mod tests {
         }
     }
 
-    /// Round-robin chunks through the pool ≡ the same chunks applied
-    /// directly: the pool adds routing-free transport, nothing else — also
+    /// Round-robin chunks through ring links ≡ the same chunks applied
+    /// directly: the links add routing-free transport, nothing else — also
     /// when slow shards fill their rings and the sender has to block.
     #[test]
-    fn pool_ingest_matches_direct_ingest() {
-        let mut via_pool: Vec<SlowLp> = samplers(3, 9).into_iter().map(SlowLp).collect();
+    fn ring_ingest_matches_direct_ingest() {
+        let mut via_links: Vec<SlowLp> = samplers(3, 9).into_iter().map(SlowLp).collect();
         let mut direct = samplers(3, 9);
         let items = stream(30_000);
-        let stats = {
-            let ptrs: Vec<*mut _> = via_pool.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe { ShardPool::start(&ptrs) };
-            // 20 chunks per shard against an 8-slot ring: the sender must park.
-            for (index, chunk) in items.chunks(500).enumerate() {
-                let shard = index % 3;
-                let mut buffer = pool.take_buffer();
-                buffer.extend_from_slice(chunk);
-                pool.send(shard, buffer);
-                direct[shard].update_batch(chunk);
-            }
-            pool.flush();
-            pool.stats()
-        };
-        assert!(stats.blocked > 0, "full-ring path never exercised");
-        assert_eq!(stats.chunks, 60);
-        assert_eq!(stats.spilled, 0);
-        for (a, b) in via_pool.iter().zip(&direct) {
+        let mut links = links(&mut via_links);
+        // 20 chunks per shard against an 8-slot ring: the sender must park.
+        let mut buffer = Vec::new();
+        for (index, chunk) in items.chunks(500).enumerate() {
+            buffer.extend_from_slice(chunk);
+            buffer = links[index % 3].ship(buffer).unwrap();
+            assert!(buffer.is_empty());
+            direct[index % 3].update_batch(chunk);
+        }
+        assert_eq!(
+            barrier_all(&mut links, 1, BarrierKind::Sync).unwrap().len(),
+            0
+        );
+        let stats: Vec<RuntimeStats> = links.iter().map(RingLink::stats).collect();
+        drop(links);
+        assert!(
+            stats.iter().any(|s| s.blocked > 0),
+            "full-ring path never exercised"
+        );
+        assert_eq!(stats.iter().map(|s| s.chunks).sum::<u64>(), 60);
+        for (a, b) in via_links.iter().zip(&direct) {
             assert_eq!(a.snapshot(), b.snapshot());
         }
     }
 
-    /// The snapshot barrier is a consistent cut: bytes equal each shard's
-    /// own snapshot at exactly the pre-barrier prefix, and ingest enqueued
+    /// The query barrier is a consistent cut: bytes equal each shard's own
+    /// snapshot at exactly the pre-barrier prefix, and ingest enqueued
     /// after the barrier is excluded.
     #[test]
     fn snapshot_barrier_cuts_between_chunks() {
@@ -465,16 +434,15 @@ mod tests {
         let suffix: Vec<Item> = stream(8_000).into_iter().map(|x| x + 1).collect();
         let cut_bytes;
         {
-            let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe { ShardPool::start(&ptrs) };
+            let mut links = links(&mut shards);
             for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
-                pool.send(j, half.to_vec());
+                links[j].ship(half.to_vec()).unwrap();
             }
-            cut_bytes = pool.snapshot_all();
+            cut_bytes = barrier_all(&mut links, 1, BarrierKind::Query).unwrap();
             for (j, half) in suffix.chunks(suffix.len() / 2).enumerate() {
-                pool.send(j, half.to_vec());
+                links[j].ship(half.to_vec()).unwrap();
             }
-            pool.flush();
+            barrier_all(&mut links, 2, BarrierKind::Sync).unwrap();
         }
         for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
             reference[j].update_batch(half);
@@ -510,10 +478,9 @@ mod tests {
         }
         let result = std::panic::catch_unwind(|| {
             let mut shards = [Bomb];
-            let ptrs: Vec<*mut _> = shards.iter_mut().map(|s| s as *mut _).collect();
-            let mut pool = unsafe { ShardPool::start(&ptrs) };
-            pool.send(0, vec![1, 2, 3]);
-            pool.flush();
+            let mut links = links(&mut shards);
+            links[0].ship(vec![1, 2, 3]).unwrap();
+            let _ = barrier_all(&mut links, 1, BarrierKind::Sync);
         });
         let payload = result.expect_err("worker panic must propagate");
         let message = payload
@@ -521,5 +488,48 @@ mod tests {
             .copied()
             .unwrap_or("<non-str payload>");
         assert_eq!(message, "boom");
+    }
+
+    /// A scripted link: `ack` returns its one canned reply.
+    struct Scripted(Option<(u64, Option<Vec<u8>>)>);
+
+    impl ShardLink<Item> for Scripted {
+        fn ship(&mut self, chunk: Vec<Item>) -> io::Result<Vec<Item>> {
+            Ok(chunk)
+        }
+        fn barrier(&mut self, _epoch: u64, _kind: BarrierKind) -> io::Result<()> {
+            Ok(())
+        }
+        fn ack(&mut self) -> io::Result<(u64, Option<Vec<u8>>)> {
+            Ok(self.0.take().expect("one ack per barrier"))
+        }
+    }
+
+    /// `barrier_all` returns the snapshots in shard order for a publishing
+    /// kind and nothing for a flush; every ack that does not fit the
+    /// barrier fails typed and names its shard: a query ack without a
+    /// snapshot, a checkpoint ack with one, and an ack for another epoch.
+    #[test]
+    fn barrier_all_checks_every_ack() {
+        use BarrierKind::{Checkpoint, CheckpointPublish, Query};
+        let snap = |j: u8| (7, Some(vec![j]));
+        let run = |kind, acks: [(u64, Option<Vec<u8>>); 3]| {
+            barrier_all(&mut acks.map(|ack| Scripted(Some(ack))), 7, kind)
+        };
+        let cut = run(Query, [snap(0), snap(1), snap(2)]).unwrap();
+        assert_eq!(cut, [vec![0], vec![1], vec![2]]);
+        let flush = run(Checkpoint, [(7, None), (7, None), (7, None)]);
+        assert_eq!(flush.unwrap().len(), 0);
+        let epoch_6 = (6, Some(vec![0]));
+        for (kind, acks, bad) in [
+            (Query, [snap(0), (7, None), snap(2)], 1),
+            (Checkpoint, [(7, None), (7, None), snap(2)], 2),
+            (CheckpointPublish, [epoch_6, snap(1), snap(2)], 0),
+        ] {
+            let err = run(kind, acks).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?}");
+            let err = err.to_string();
+            assert!(err.starts_with(&format!("shard {bad}:")), "{err}");
+        }
     }
 }

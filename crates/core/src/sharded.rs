@@ -4,11 +4,10 @@
 //! The samplers in this workspace are one-pass and oblivious to how the
 //! stream is partitioned, so the single-core ingest ceiling is not a system
 //! ceiling: [`ShardedSampler`] routes updates across `k` independent shard
-//! instances, feeds each shard's amortised batch path through the
-//! persistent worker pool of [`crate::runtime`] (one long-lived thread per
-//! shard behind a bounded SPSC ring — no per-batch spawn/join), and answers
-//! queries from snapshot-isolated cuts merged through the shards'
-//! [`MergeableSampler`] implementation.
+//! instances, feeds each shard's amortised batch path through one
+//! [`RingLink`] per shard (a long-lived thread behind a bounded SPSC ring —
+//! no per-batch spawn/join), and answers queries from snapshot-isolated
+//! cuts folded by [`fold_merge`].
 //!
 //! ## Routing and exactness
 //!
@@ -26,8 +25,8 @@
 //! ## Query semantics (snapshot isolation)
 //!
 //! While the runtime is live, [`StreamSampler::sample`] no longer clones
-//! live shards. It enqueues a snapshot barrier: each worker emits its
-//! shard's PR-4 codec snapshot in-band, so the `k` records form a
+//! live shards. It runs a query barrier ([`barrier_all`]): each worker
+//! emits its shard's codec snapshot in-band, so the `k` records form a
 //! consistent cut (everything ingested before the query, nothing after).
 //! The coordinator restores and fold-merges the records off the ingest
 //! path; by the pinned restore-then-merge ≡ in-process-merge law the result
@@ -37,8 +36,8 @@
 //!
 //! On top of that, [`ShardedSampler::query`] is the typed front door over
 //! [`ShardedSampler::merged`]: a
-//! [`QueryConsistency::Consistent`] request forces the fresh fold-merge
-//! above, while [`QueryConsistency::Cached`] reuses the last consistent
+//! [`QueryOptions::consistent`] request forces the fresh fold-merge
+//! above, while [`QueryOptions::cached`] reuses the last consistent
 //! fold-merge when it is within the caller's staleness bound — no
 //! barrier, no merge, no waiting on ingest. Staleness is measured in
 //! in-process *epochs* (one per ingest call); cache hits and misses are
@@ -55,14 +54,16 @@
 //! counts how often ingest had to block.
 
 use std::cell::UnsafeCell;
+use std::io;
 use std::sync::Mutex;
 
-use crate::runtime::{RuntimeStats, ShardPool};
-use tps_random::Xoshiro256;
+use crate::runtime::{barrier_all, RingLink, RuntimeStats, ShardLink};
+use tps_random::{StreamRng, Xoshiro256};
 use tps_streams::codec::{self, CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};
+use tps_streams::wire::BarrierKind;
 use tps_streams::{
-    Item, MergeableSampler, QueryConsistency, QueryOptions, QuerySnapshot, SampleOutcome,
-    SignedUpdate, SpaceUsage, StreamSampler, StreamUpdate, TurnstileSampler, UpdateSampler,
+    Item, MergeableSampler, QueryOptions, QuerySnapshot, SampleOutcome, SignedUpdate, SpaceUsage,
+    StreamSampler, StreamUpdate, TurnstileSampler, UpdateSampler,
 };
 
 /// How [`ShardedSampler`] routes updates to shards.
@@ -107,10 +108,38 @@ pub fn hash_route(item: Item, shards: usize) -> usize {
 
 /// Salt XORed into the builder seed to derive the query-time merge RNG.
 /// Public for the same reason as [`hash_route`]: an external coordinator
-/// that restores per-shard snapshots and fold-merges them in shard order
-/// with `Xoshiro256::seed_from_u64(seed ^ MERGE_SEED_SALT)` reproduces an
-/// in-process [`ShardedSampler`]'s first merged query byte for byte.
+/// that restores per-shard snapshots and passes them to [`fold_merge`]
+/// with coins from `Xoshiro256::seed_from_u64(seed ^ MERGE_SEED_SALT)`
+/// reproduces an in-process [`ShardedSampler`]'s first merged query byte
+/// for byte.
 pub const MERGE_SEED_SALT: u64 = 0x5AAD_ED00;
+
+/// Folds shard states, in shard order with the caller's merge coins, into
+/// one sampler for their combined stream — the one fold behind every
+/// sharded answer, in-process or restored from a service cut. A state
+/// that cannot merge into those before it fails as
+/// [`io::ErrorKind::InvalidData`] naming its shard.
+///
+/// # Panics
+///
+/// Panics if `shards` is empty.
+pub fn fold_merge<S: MergeableSampler>(
+    shards: impl IntoIterator<Item = S>,
+    rng: &mut dyn StreamRng,
+) -> io::Result<S> {
+    let mut shards = shards.into_iter();
+    let mut merged = shards.next().expect("at least one shard");
+    for (shard, next) in (1..).zip(shards) {
+        if !merged.merge_compatible(&next) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("shard {shard} is not merge-compatible with the shards before it"),
+            ));
+        }
+        merged = merged.merge(next, rng);
+    }
+    Ok(merged)
+}
 
 /// Batches smaller than this many items *per shard* are scattered and
 /// drained on the calling thread while the runtime is not yet live: below
@@ -271,31 +300,48 @@ struct MergedCache<S> {
     value: S,
 }
 
-/// The live half of the runtime: the worker pool plus the per-shard
-/// staging buffers of routed-but-unshipped items. Boxed behind a `Mutex`
-/// so `&self` accessors can quiesce (ship + flush) through interior
-/// mutability while `ShardedSampler` stays `Send`.
+/// The live half of the runtime: one ring link per shard plus the
+/// per-shard staging buffers of routed-but-unshipped items. Boxed behind a
+/// `Mutex` so `&self` accessors can quiesce (ship + flush) through
+/// interior mutability while `ShardedSampler` stays `Send`.
 struct RuntimeState<U: StreamUpdate> {
-    pool: ShardPool<U>,
+    links: Vec<RingLink<U>>,
     staging: Vec<Vec<U>>,
+    /// The last barrier epoch sent on the links.
+    epoch: u64,
+    /// Query barriers completed (reported as [`RuntimeStats::snapshots`]).
+    snapshots: u64,
 }
 
 impl<U: StreamUpdate> RuntimeState<U> {
-    /// Ships every non-empty staging buffer to its ring (order-preserving:
-    /// staged items were routed after everything already shipped).
-    fn ship_staged(&mut self) {
-        for (shard, buffer) in self.staging.iter_mut().enumerate() {
+    /// Ships every non-empty staging buffer (staged items were routed
+    /// after everything already shipped), then runs one barrier of `kind`
+    /// across every shard: a flush (`Sync`) or a consistent-cut query
+    /// (`Query`, which returns the shards' snapshots in shard order).
+    fn barrier(&mut self, kind: BarrierKind) -> Vec<Vec<u8>> {
+        for (link, buffer) in self.links.iter_mut().zip(&mut self.staging) {
             if !buffer.is_empty() {
-                let chunk = std::mem::take(buffer);
-                self.pool.send(shard, chunk);
+                *buffer = link.ship(std::mem::take(buffer)).expect("rings never err");
             }
         }
+        self.epoch += 1;
+        if kind == BarrierKind::Query {
+            self.snapshots += 1;
+        }
+        barrier_all(&mut self.links, self.epoch, kind)
+            .unwrap_or_else(|e| panic!("in-process barrier failed: {e}"))
     }
 
-    /// Ships staged items and waits until every worker has applied them.
-    fn quiesce(&mut self) {
-        self.ship_staged();
-        self.pool.flush();
+    fn stats(&self) -> RuntimeStats {
+        let mut total = RuntimeStats {
+            snapshots: self.snapshots,
+            ..RuntimeStats::default()
+        };
+        for link in &self.links {
+            total.chunks += link.stats().chunks;
+            total.blocked += link.stats().blocked;
+        }
+        total
     }
 }
 
@@ -316,7 +362,7 @@ pub struct ShardedSampler<S, U: StreamUpdate = Item> {
     /// Owned shard states. `UnsafeCell` because, while the runtime is
     /// live, worker `j` mutates shard `j` through a raw pointer; the
     /// coordinator only touches a shard after a completed barrier (see
-    /// [`crate::runtime::ShardPool::start`]'s contract). Boxed slice: the
+    /// [`RingLink::start`]'s contract). Boxed slice: the
     /// allocation must never move while workers hold pointers into it.
     shards: Box<[UnsafeCell<S>]>,
     strategy: ShardingStrategy,
@@ -398,7 +444,7 @@ where
     /// started; reset when it restarts (clone, restore).
     pub fn runtime_stats(&self) -> RuntimeStats {
         match &self.runtime {
-            Some(runtime) => runtime.lock().unwrap().pool.stats(),
+            Some(runtime) => runtime.lock().unwrap().stats(),
             None => RuntimeStats::default(),
         }
     }
@@ -431,7 +477,7 @@ where
     /// may access shard states directly.
     fn quiesce(&self) {
         if let Some(runtime) = &self.runtime {
-            runtime.lock().unwrap().quiesce();
+            runtime.lock().unwrap().barrier(BarrierKind::Sync);
         }
     }
 
@@ -442,20 +488,27 @@ where
         self.shards[idx].get_mut()
     }
 
-    /// Starts the persistent worker pool over the current shard states.
+    /// Starts one ring link per shard over the current shard states.
     fn start_runtime(&mut self) {
         debug_assert!(self.runtime.is_none());
-        let ptrs: Vec<*mut S> = self.shards.iter().map(UnsafeCell::get).collect();
-        // SAFETY: the pointers target the boxed slice owned by `self`,
-        // which is never resized and outlives the pool (`runtime` is
-        // declared before `shards`, so the pool joins its workers first on
-        // drop; `Self` is only movable as a whole, which does not move the
-        // boxed allocation). Coordinator-side access to the pointees only
-        // happens behind `quiesce()` barriers, per the contract.
-        let pool = unsafe { ShardPool::start(&ptrs) };
+        let links = self
+            .shards
+            .iter()
+            .enumerate()
+            // SAFETY: the pointers target the boxed slice owned by `self`,
+            // which is never resized and outlives the links (`runtime` is
+            // declared before `shards`, so the links join their workers
+            // first on drop; `Self` is only movable as a whole, which does
+            // not move the boxed allocation). Coordinator-side access to the
+            // pointees only happens behind `quiesce()` barriers, per the
+            // contract.
+            .map(|(shard, cell)| unsafe { RingLink::start(shard, cell.get()) })
+            .collect();
         self.runtime = Some(Mutex::new(RuntimeState {
-            pool,
+            links,
             staging: vec![Vec::new(); self.shards.len()],
+            epoch: 0,
+            snapshots: 0,
         }));
     }
 
@@ -488,9 +541,8 @@ where
             let buffer = &mut state.staging[shard];
             buffer.push(update);
             if buffer.len() >= RUNTIME_CHUNK {
-                let mut fresh = state.pool.take_buffer();
-                std::mem::swap(buffer, &mut fresh);
-                state.pool.send(shard, fresh);
+                let chunk = std::mem::take(buffer);
+                *buffer = state.links[shard].ship(chunk).expect("rings never err");
             }
         }
         self.cursor = cursor;
@@ -570,34 +622,25 @@ where
     /// in-process-merge law. Merge coins come from the front-end's own RNG,
     /// so repeated queries draw independent merged states.
     pub fn merged(&mut self) -> S {
-        if let Some(runtime) = &mut self.runtime {
-            let state = runtime.get_mut().unwrap();
-            state.ship_staged();
-            let records = state.pool.snapshot_all();
-            let mut shards = records
-                .iter()
-                .map(|bytes| S::restore(bytes).expect("a worker-emitted snapshot always restores"));
-            let mut merged = shards.next().expect("at least one shard");
-            for shard in shards {
-                merged = merged.merge(shard, &mut self.rng);
+        let merged = match &mut self.runtime {
+            Some(runtime) => {
+                let records = runtime.get_mut().unwrap().barrier(BarrierKind::Query);
+                let restore =
+                    |bytes: &Vec<u8>| S::restore(bytes).expect("worker snapshots restore");
+                fold_merge(records.iter().map(restore), &mut self.rng)
             }
-            merged
-        } else {
-            let mut shards = self
-                .shards
-                .iter()
-                .map(|cell| unsafe { &*cell.get() }.clone());
-            let mut merged = shards.next().expect("at least one shard");
-            for shard in shards {
-                merged = merged.merge(shard, &mut self.rng);
+            None => {
+                // SAFETY: no runtime is live, so no worker touches a shard.
+                let clone = |cell: &UnsafeCell<S>| unsafe { &*cell.get() }.clone();
+                fold_merge(self.shards.iter().map(clone), &mut self.rng)
             }
-            merged
-        }
+        };
+        merged.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The ingest generation this sampler is at: one epoch per
     /// [`Self::ingest`] / [`Self::ingest_batch`] call. This is the clock
-    /// [`QueryConsistency::Cached`]'s staleness bound is measured against.
+    /// [`QueryOptions::cached`]'s staleness bound is measured against.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -610,28 +653,26 @@ where
     /// The typed query surface over [`Self::merged`] — the in-process
     /// twin of the service's query plane.
     ///
-    /// A [`QueryConsistency::Consistent`] request behaves exactly like
+    /// A [`QueryOptions::consistent`] request behaves exactly like
     /// [`Self::merged`] (same fold-merge, same merge coins — the two are
     /// byte-identical) and additionally republishes the result into the
-    /// query cache. A [`QueryConsistency::Cached`] request is answered
+    /// query cache. A [`QueryOptions::cached`] request is answered
     /// from that cache when the cache's epoch is at most
     /// `max_epochs_stale` ingest calls behind [`Self::epoch`] — without
     /// touching the shards, the runtime, or the merge coins — and
-    /// escalates to the consistent path otherwise. Cached answers are
-    /// clones of one published merge, so repeated cached queries return
-    /// byte-identical samplers.
+    /// escalates to the consistent path otherwise ([`QueryOptions::admits`]
+    /// is the rule). Cached answers are clones of one published merge, so
+    /// repeated cached queries return byte-identical samplers.
     pub fn query(&mut self, options: &QueryOptions) -> QuerySnapshot<S> {
-        if let QueryConsistency::Cached { max_epochs_stale } = options.consistency {
-            if let Some(cache) = &self.cache {
-                if self.epoch - cache.epoch <= max_epochs_stale {
-                    self.cache_stats.hits += 1;
-                    return QuerySnapshot {
-                        value: cache.value.clone(),
-                        epoch: cache.epoch,
-                        cut: cache.cut,
-                        cached: true,
-                    };
-                }
+        if let Some(cache) = &self.cache {
+            if options.admits(self.epoch, cache.epoch) {
+                self.cache_stats.hits += 1;
+                return QuerySnapshot {
+                    value: cache.value.clone(),
+                    epoch: cache.epoch,
+                    cut: cache.cut,
+                    cached: true,
+                };
             }
         }
         self.cache_stats.misses += 1;
@@ -689,26 +730,15 @@ where
         self.ingest(item);
     }
 
-    /// The persistent-runtime ingest path.
-    ///
-    /// While the worker pool is live (or once this batch is large enough —
-    /// the configured [`parallel_cutoff`](ShardedSampler::parallel_cutoff)
-    /// items per shard — to start it), the coordinator routes items into
-    /// per-shard staging buffers and ships each as a 32Ki-item chunk onto
-    /// that shard's SPSC ring; workers drain their rings through the
-    /// engines' amortised `update_batch`. The call returns as soon as the
-    /// batch is enqueued (blocking only while a shard's ring is full) —
-    /// chunks pipeline across shards with no spawn/join and no barrier per
-    /// batch. Use [`ShardedSampler::flush`] (or any query/snapshot) for a
-    /// completion barrier.
-    ///
-    /// Routing is deterministic (hash of the item, or the round-robin
-    /// cursor), each shard owns a private RNG, and the engines'
-    /// batch ≡ loop law makes multi-chunk draining chunking-invariant — so
-    /// sharded batch ingestion ≡ sharded per-item ingestion regardless of
-    /// how chunks land on worker threads. Batches below the cutoff (before
-    /// the runtime has started) take an equivalent scatter-and-drain path
-    /// on the calling thread.
+    /// The persistent-runtime ingest path: route into per-shard staging
+    /// buffers and ship each 32Ki-item chunk to its shard's [`RingLink`],
+    /// returning once the batch is enqueued (blocking only while a ring is
+    /// full). [`ShardedSampler::flush`], or any query or snapshot, is the
+    /// completion barrier. Batches below the
+    /// [`parallel_cutoff`](ShardedSampler::parallel_cutoff) take an
+    /// equivalent scatter-and-drain path on the calling thread until the
+    /// runtime starts. Deterministic routing plus the engines' batch ≡
+    /// loop law make sharded batch ingest ≡ sharded per-item ingest.
     fn update_batch(&mut self, items: &[Item]) {
         self.ingest_batch(items);
     }
@@ -828,8 +858,7 @@ where
 ///
 /// Because each shard is itself a complete snapshot of a mergeable
 /// sampler, the per-shard records can also be shipped to *different*
-/// processes and recombined there through
-/// [`MergeableSampler`](tps_streams::MergeableSampler) — restore-then-merge
+/// processes and recombined there with [`fold_merge`] — restore-then-merge
 /// is both the cross-machine scatter-gather path and what the runtime's
 /// own snapshot-isolated queries replay in-process.
 impl<S, U> Snapshot for ShardedSampler<S, U>

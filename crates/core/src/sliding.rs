@@ -14,7 +14,7 @@
 //! * all occurrences counted after that timestamp are themselves active, so
 //!   the usual telescoping rejection step applies unchanged.
 //!
-//! Each cohort *is* one [`SkipAheadEngine`](crate::engine::SkipAheadEngine)
+//! Each cohort *is* one [`SkipAheadEngine`]
 //! — the same skip-ahead + shared-suffix-table core the insertion-only
 //! framework runs — plus the window bookkeeping this module owns: the
 //! cohort's global start position (to translate engine-local admission

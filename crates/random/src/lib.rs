@@ -12,7 +12,7 @@
 //!   sampler, [`subset`]),
 //! * exponential and `p`-stable random variables (used only by the
 //!   *baseline* perfect-but-not-truly-perfect samplers reproduced from prior
-//!   work, [`exponential`] and [`stable`]),
+//!   work, [`exponential`](mod@exponential) and [`stable`]),
 //! * cheap hash families standing in for the random oracle in comparator
 //!   algorithms ([`hashing`]).
 //!

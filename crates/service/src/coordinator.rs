@@ -6,8 +6,7 @@
 //! a manifest chain so a killed coordinator resumes, serves consistent-cut
 //! queries to clients while ingest runs, and answers the final query by
 //! restore-and-merge — byte-identical to a single-process
-//! [`ShardedSampler`](tps_core::sharded::ShardedSampler) over the same
-//! stream.
+//! [`ShardedSampler`] over the same stream.
 //!
 //! ## Replay by stream position
 //!
@@ -33,14 +32,14 @@
 //!
 //! Every shipped part is followed by a [`BarrierKind::Sync`] carrying the
 //! link's sequence number, and the worker acks it at once. Before
-//! shipping a worker's next part the coordinator reads that worker's acks
-//! until every earlier `Sync` is acked, so at most [`CREDIT_WINDOW`]
-//! chunk is ever unacknowledged on a link: routing the next chunk
+//! shipping a worker's next part the link reads that worker's acks until
+//! every earlier `Sync` is acked, so at most `CREDIT_WINDOW` (one) chunk
+//! is ever unacknowledged on a link: routing the next chunk
 //! overlaps the worker's ingest, but the coordinator never runs further
 //! ahead. Pending consistent queries are served between that credit wait
 //! and the next shipment, so their barrier queues behind no chunk. Acks
-//! arrive in send order, so barrier-ack collection first reads past the
-//! pending `Sync` acks. A `Sync` consumes no job epoch and writes nothing
+//! arrive in send order, so the link's `ack` first reads past the pending
+//! `Sync` acks. A `Sync` consumes no job epoch and writes nothing
 //! to disk.
 //!
 //! ## Coordinator durability
@@ -62,8 +61,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use tps_core::runtime::{barrier_all, collect_acks, send_barrier, ShardLink};
 use tps_core::sharded::{
-    hash_route, ShardedSampler, ShardedSamplerBuilder, ShardingStrategy, MERGE_SEED_SALT,
+    fold_merge, hash_route, ShardedSampler, ShardedSamplerBuilder, ShardingStrategy,
+    MERGE_SEED_SALT,
 };
 use tps_random::Xoshiro256;
 use tps_streams::codec::delta::IncrementalCheckpointer;
@@ -118,6 +119,23 @@ impl std::fmt::Display for QueryReport {
 }
 
 impl QueryReport {
+    /// The report of a merged sampler answering for `processed` routed
+    /// items: the checksum of its sealed snapshot, then one draw.
+    pub fn of<S: Snapshot + UpdateSampler<U>, U: StreamUpdate>(
+        processed: u64,
+        mut merged: S,
+    ) -> Self {
+        Self {
+            processed,
+            merged_fnv: checksum(&merged.snapshot()),
+            sample: match merged.draw() {
+                SampleOutcome::Index(i) => format!("index:{i}"),
+                SampleOutcome::Empty => "empty".to_string(),
+                SampleOutcome::Fail => "fail".to_string(),
+            },
+        }
+    }
+
     /// Parses a line printed by [`QueryReport`]'s `Display` impl.
     pub fn parse(line: &str) -> Option<Self> {
         let mut processed = None;
@@ -137,14 +155,6 @@ impl QueryReport {
             merged_fnv: merged_fnv?,
             sample: sample?,
         })
-    }
-}
-
-fn describe(outcome: SampleOutcome) -> String {
-    match outcome {
-        SampleOutcome::Index(i) => format!("index:{i}"),
-        SampleOutcome::Empty => "empty".to_string(),
-        SampleOutcome::Fail => "fail".to_string(),
     }
 }
 
@@ -195,28 +205,6 @@ impl<U: IngestPayload> WorkerHandle<U> {
         }
     }
 
-    fn send(&mut self, msg: &WireMessage) -> io::Result<()> {
-        self.conn.send(msg)
-    }
-
-    /// Ships this worker's part of chunk `index` once the credit window
-    /// has room, records it under `tag`, and asks for the next credit.
-    /// The part is moved into the message and back out, never cloned; it
-    /// comes back empty, keeping its capacity for the next chunk.
-    fn ship(&mut self, tag: u64, index: u64, part: &mut Vec<U>) -> io::Result<()> {
-        self.settle_syncs(CREDIT_WINDOW - 1)?;
-        let msg = U::into_ingest(std::mem::take(part));
-        self.send(&msg)?;
-        *part = U::from_ingest(msg).map_err(|_| invalid("ingest message lost its chunk".into()))?;
-        part.clear();
-        self.replay.push((tag, index));
-        self.syncs_sent += 1;
-        self.send(&WireMessage::Barrier {
-            epoch: self.syncs_sent,
-            kind: BarrierKind::Sync,
-        })
-    }
-
     /// Reads `Sync` acks, in send order, until at most `pending` remain
     /// unacknowledged.
     fn settle_syncs(&mut self, pending: u64) -> io::Result<()> {
@@ -263,20 +251,46 @@ impl<U: IngestPayload> WorkerHandle<U> {
         }
         Ok(resume_epoch)
     }
+}
 
-    /// Reads the barrier ack for `epoch`, returning its snapshot field.
-    /// Every pending `Sync` went out before the barrier, so its ack comes
-    /// first.
-    fn expect_ack(&mut self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
+/// The wire [`ShardLink`]: a worker process behind its connection, with
+/// a credit window of [`CREDIT_WINDOW`] chunk. The caller records what it
+/// shipped in the replay record.
+impl<U: IngestPayload> ShardLink<U> for WorkerHandle<U> {
+    /// Ships one part once the credit window has room, then asks for the
+    /// next credit. The part is moved into the message and back out, never
+    /// cloned; it comes back empty, keeping its capacity.
+    fn ship(&mut self, part: Vec<U>) -> io::Result<Vec<U>> {
+        self.settle_syncs(CREDIT_WINDOW - 1)?;
+        let msg = U::into_ingest(part);
+        self.conn.send(&msg)?;
+        let mut part =
+            U::from_ingest(msg).map_err(|_| invalid("ingest message lost its chunk".into()))?;
+        part.clear();
+        self.syncs_sent += 1;
+        self.conn.send(&WireMessage::Barrier {
+            epoch: self.syncs_sent,
+            kind: BarrierKind::Sync,
+        })?;
+        Ok(part)
+    }
+
+    fn barrier(&mut self, epoch: u64, kind: BarrierKind) -> io::Result<()> {
+        self.conn.send(&WireMessage::Barrier { epoch, kind })
+    }
+
+    /// Reads the next barrier ack. Every pending `Sync` went out before
+    /// the barrier, so its ack comes first.
+    fn ack(&mut self) -> io::Result<(u64, Option<Vec<u8>>)> {
         self.settle_syncs(0)?;
         match self.recv()? {
             WireMessage::BarrierAck {
                 shard,
-                epoch: acked,
+                epoch,
                 snapshot,
-            } if shard == self.shard as u64 && acked == epoch => Ok(snapshot),
+            } if shard == self.shard as u64 => Ok((epoch, snapshot)),
             other => Err(invalid(format!(
-                "worker {}: expected ack for epoch {epoch}, got {other:?}",
+                "worker {}: expected a barrier ack, got {other:?}",
                 self.shard
             ))),
         }
@@ -461,7 +475,8 @@ fn replay_into<U: IngestPayload>(
     for (tag, index) in replay {
         if tag >= resume_epoch {
             route_part(stream, spec, index, worker.shard, &mut part);
-            worker.ship(tag, index, &mut part)?;
+            part = worker.ship(part)?;
+            worker.replay.push((tag, index));
         }
     }
     Ok(())
@@ -496,62 +511,25 @@ fn restart_worker<U: IngestPayload>(
     Ok(())
 }
 
-/// Runs the query barrier at `epoch`, returning the consistent-cut
-/// snapshots in shard order.
-fn query_barrier<U: IngestPayload>(
-    workers: &mut [WorkerHandle<U>],
-    epoch: u64,
-) -> io::Result<Vec<Vec<u8>>> {
-    for worker in workers.iter_mut() {
-        worker.send(&WireMessage::Barrier {
-            epoch,
-            kind: BarrierKind::Query,
-        })?;
-    }
-    let mut snapshots = Vec::with_capacity(workers.len());
-    for worker in workers.iter_mut() {
-        let snapshot = worker.expect_ack(epoch)?.ok_or_else(|| {
-            invalid(format!(
-                "worker {}: query ack missing snapshot",
-                worker.shard
-            ))
-        })?;
-        snapshots.push(snapshot);
-    }
-    Ok(snapshots)
-}
-
-/// Restores the per-shard snapshots and fold-merges them in shard order,
-/// with merge coins from `seed ^ MERGE_SEED_SALT` — the exact recipe of an
-/// in-process sharded sampler's first merged query.
-fn merge_snapshots<S, U>(
-    snapshots: &[Vec<u8>],
-    seed: u64,
-    processed: u64,
-) -> io::Result<QueryReport>
+/// Restores the per-shard snapshots and folds them with merge coins from
+/// `seed ^ MERGE_SEED_SALT` — the exact recipe of an in-process sharded
+/// sampler's first merged query.
+fn fold_cut<S, U>(snapshots: &[Vec<u8>], seed: u64, processed: u64) -> io::Result<QueryReport>
 where
     S: MergeableSampler + UpdateSampler<U> + Snapshot + Restore,
     U: StreamUpdate,
 {
+    let shards = snapshots
+        .iter()
+        .enumerate()
+        .map(|(index, bytes)| {
+            S::restore(bytes)
+                .map_err(|e| invalid(format!("shard {index} snapshot does not restore: {e}")))
+        })
+        .collect::<io::Result<Vec<S>>>()?;
     let mut rng = Xoshiro256::seed_from_u64(seed ^ MERGE_SEED_SALT);
-    let mut shards = snapshots.iter().enumerate().map(|(index, bytes)| {
-        S::restore(bytes)
-            .map_err(|e| invalid(format!("shard {index} snapshot does not restore: {e}")))
-    });
-    let mut merged = shards.next().expect("at least one shard")?;
-    for shard in shards {
-        let shard = shard?;
-        if !merged.merge_compatible(&shard) {
-            return Err(invalid("shard snapshots are not merge-compatible".into()));
-        }
-        merged = merged.merge(shard, &mut rng);
-    }
-    let merged_bytes = merged.snapshot();
-    Ok(QueryReport {
-        processed,
-        merged_fnv: checksum(&merged_bytes),
-        sample: describe(merged.draw()),
-    })
+    let merged = fold_merge(shards, &mut rng)?;
+    Ok(QueryReport::of::<S, U>(processed, merged))
 }
 
 pub(crate) fn merge_report(
@@ -566,15 +544,11 @@ pub(crate) fn merge_report(
     use tps_core::turnstile::StrictTurnstileF0Sampler;
     use tps_streams::{Item, SignedUpdate};
     match kind {
-        SamplerKind::L2 => {
-            merge_snapshots::<TrulyPerfectLpSampler, Item>(snapshots, seed, processed)
-        }
-        SamplerKind::F0 => {
-            merge_snapshots::<TrulyPerfectF0Sampler, Item>(snapshots, seed, processed)
-        }
-        SamplerKind::G => merge_snapshots::<HuberSampler, Item>(snapshots, seed, processed),
+        SamplerKind::L2 => fold_cut::<TrulyPerfectLpSampler, Item>(snapshots, seed, processed),
+        SamplerKind::F0 => fold_cut::<TrulyPerfectF0Sampler, Item>(snapshots, seed, processed),
+        SamplerKind::G => fold_cut::<HuberSampler, Item>(snapshots, seed, processed),
         SamplerKind::Turnstile => {
-            merge_snapshots::<StrictTurnstileF0Sampler, SignedUpdate>(snapshots, seed, processed)
+            fold_cut::<StrictTurnstileF0Sampler, SignedUpdate>(snapshots, seed, processed)
         }
     }
 }
@@ -705,7 +679,7 @@ fn serve_queries<U: IngestPayload>(
     };
     if !pending.is_empty() {
         *epoch += 1;
-        let snapshots = query_barrier(workers, *epoch)?;
+        let snapshots = barrier_all(workers, *epoch, BarrierKind::Query)?;
         let published = plane.publish(PublishedCut {
             epoch: *epoch,
             chunks_routed,
@@ -849,7 +823,7 @@ fn drive_job<U: IngestPayload + PartialEq>(
     let plane = match &query.listen {
         Some(addr) => {
             epoch += 1;
-            let snapshots = query_barrier(&mut workers, epoch)?;
+            let snapshots = barrier_all(&mut workers, epoch, BarrierKind::Query)?;
             let attach = PublishedCut {
                 epoch,
                 chunks_routed,
@@ -892,7 +866,8 @@ fn drive_job<U: IngestPayload + PartialEq>(
         }
         for (worker, part) in workers.iter_mut().zip(&mut parts) {
             if !part.is_empty() {
-                worker.ship(epoch, index as u64, part)?;
+                *part = worker.ship(std::mem::take(part))?;
+                worker.replay.push((epoch, index as u64));
             }
         }
         chunks_routed += 1;
@@ -932,9 +907,7 @@ fn drive_job<U: IngestPayload + PartialEq>(
             } else {
                 BarrierKind::Checkpoint
             };
-            for worker in workers.iter_mut() {
-                worker.send(&WireMessage::Barrier { epoch, kind })?;
-            }
+            send_barrier(&mut workers, epoch, kind)?;
             if let Some(die) = fault.die {
                 if die.mid_barrier && chunks_routed >= die.after_chunks {
                     // The widest crash window: barriers in flight, zero
@@ -942,20 +915,8 @@ fn drive_job<U: IngestPayload + PartialEq>(
                     std::process::abort();
                 }
             }
-            let mut snapshots = Vec::with_capacity(workers.len());
+            let snapshots = collect_acks(&mut workers, epoch, kind)?;
             for worker in workers.iter_mut() {
-                match (kind, worker.expect_ack(epoch)?) {
-                    (BarrierKind::CheckpointPublish, Some(bytes)) => snapshots.push(bytes),
-                    (BarrierKind::Checkpoint, None) => {}
-                    (_, got) => {
-                        return Err(invalid(format!(
-                            "worker {}: {kind:?} ack carried the wrong payload \
-                             (snapshot present: {})",
-                            worker.shard,
-                            got.is_some()
-                        )))
-                    }
-                }
                 worker.replay.retain(|&(tag, _)| tag >= epoch);
                 worker.acked_epoch = epoch;
             }
@@ -981,7 +942,7 @@ fn drive_job<U: IngestPayload + PartialEq>(
         )?;
     }
     epoch += 1;
-    let snapshots = query_barrier(&mut workers, epoch)?;
+    let snapshots = barrier_all(&mut workers, epoch, BarrierKind::Query)?;
     if let Some(plane) = plane {
         // Publish the final cut and answer any last consistent-cut
         // demands with it; then tear the plane down. Handler threads are
@@ -999,7 +960,7 @@ fn drive_job<U: IngestPayload + PartialEq>(
         plane.finish();
     }
     for worker in workers.iter_mut() {
-        worker.send(&WireMessage::Shutdown)?;
+        worker.conn.send(&WireMessage::Shutdown)?;
     }
     for worker in workers.iter_mut() {
         if let Some(child) = worker.child.as_mut() {
@@ -1105,13 +1066,7 @@ pub fn run_reference(spec: &JobSpec) -> io::Result<QueryReport> {
                 .seed(spec.seed),
         );
         sampler.ingest_batch(stream);
-        let mut merged = sampler.merged();
-        let merged_bytes = merged.snapshot();
-        QueryReport {
-            processed: stream.len() as u64,
-            merged_fnv: checksum(&merged_bytes),
-            sample: describe(merged.draw()),
-        }
+        QueryReport::of::<S, U>(stream.len() as u64, sampler.merged())
     }
     spec.validate().map_err(invalid)?;
     Ok(match spec.sampler {
@@ -1242,14 +1197,13 @@ mod tests {
 
         let mut link = WorkerHandle::<Item>::new(0, Box::new(tcp_connect(addr).unwrap()));
         assert_eq!(link.handshake().unwrap(), 0);
-        link.ship(0, 0, &mut vec![1, 2]).unwrap();
-        link.ship(0, 1, &mut vec![3]).unwrap();
+        assert!(link.ship(vec![1, 2]).unwrap().is_empty());
+        link.ship(vec![3]).unwrap();
         // The second ship returned, so the credit had been granted.
         acked_rx
             .try_recv()
             .expect("second chunk shipped before the credit");
         worker.join().unwrap();
-        assert_eq!(link.replay, [(0, 0), (0, 1)]);
         assert_eq!((link.syncs_sent, link.syncs_acked), (2, 1));
     }
 

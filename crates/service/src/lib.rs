@@ -14,11 +14,12 @@
 //!   and ack; the acks let the coordinator trim its replay records.
 //!   Chains are garbage-collected after rebases ([`CheckpointStore::compact`]).
 //! * **Query barriers** collect every worker's full sealed snapshot at a
-//!   consistent cut; the coordinator restores and fold-merges them in
-//!   shard order with the merge RNG seeded `seed ^ MERGE_SEED_SALT`, so
-//!   the merged answer is **byte-identical** to an in-process
-//!   [`ShardedSampler`](tps_core::sharded::ShardedSampler) over the same
-//!   stream (the `reference` subcommand computes exactly that). A TCP
+//!   consistent cut through [`tps_core::runtime::barrier_all`], and the
+//!   coordinator folds them with [`tps_core::sharded::fold_merge`] and the
+//!   merge RNG seeded `seed ^ MERGE_SEED_SALT` — the code an in-process
+//!   [`ShardedSampler`](tps_core::sharded::ShardedSampler) runs, so the
+//!   merged answer is **byte-identical** to one over the same stream (the
+//!   `reference` subcommand computes exactly that). A TCP
 //!   **query plane** ([`query::QueryPlane`]) serves that answer to any
 //!   number of concurrent clients ([`client::QueryClient`]) *while ingest
 //!   runs*, off the barrier loop: checkpoint barriers publish their cut

@@ -13,13 +13,13 @@
 //!
 //! The coordinator publishes every consistent cut it collects (the attach
 //! cut taken before the plane is announced, checkpoint barriers upgraded
-//! to [`BarrierKind::CheckpointPublish`], plus every explicit query
+//! to `BarrierKind::CheckpointPublish`, plus every explicit query
 //! barrier) into a versioned slot: an ArcSwap-style cell hand-rolled as
 //! `Mutex<Arc<PublishedCut>>` — the lock is held
 //! only for the pointer swap/clone, never across a merge or a socket
 //! write, so it is uncontended in practice. `live_epoch` tracks the
-//! newest published epoch; a cached query is served from the slot iff
-//! `live_epoch - cut.epoch ≤ max_epochs_stale`.
+//! newest published epoch; a query is served from the slot iff
+//! `QueryOptions::admits(live_epoch, cut.epoch)`, as in-process.
 //!
 //! ## Consistent queries without stalling ingest
 //!
@@ -27,17 +27,18 @@
 //! the slot cannot meet) posts a [`CutRequest`] to the coordinator over
 //! an mpsc channel and blocks **in its own handler thread** on the
 //! private reply channel. The ingest loop drains pending requests at
-//! chunk boundaries: one query barrier serves *all* of them with the same
-//! `Arc<PublishedCut>`. The barrier itself never touches a client socket
-//! — a wedged client blocks only its own detached thread.
+//! chunk boundaries: one query barrier (`tps_core::runtime::barrier_all`)
+//! serves *all* of them with the same `Arc<PublishedCut>`. The barrier
+//! itself never touches a client socket — a wedged client blocks only its
+//! own detached thread.
 //!
 //! ## Merging off the barrier path
 //!
 //! Merge coins are deterministic (`seed ^ MERGE_SEED_SALT`, fresh per
 //! merge), so *any* thread reproduces the canonical merged answer from a
-//! cut's snapshots. Handler threads do their own merging, memoized per
-//! epoch, keeping the coordinator's barrier loop free of restore/merge
-//! work entirely.
+//! cut's snapshots with `tps_core::sharded::fold_merge`. Handler threads
+//! do their own merging, memoized per epoch, keeping the coordinator's
+//! barrier loop free of restore/merge work entirely.
 
 use std::io::{self, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
@@ -405,37 +406,29 @@ fn serve_one<C: Connection>(conn: &mut C, shared: &Shared) -> io::Result<()> {
     };
 
     let start = Instant::now();
-    let (cut, cached) = match options.consistency {
-        QueryConsistency::Cached { max_epochs_stale } => {
-            let live = shared.live_epoch.load(Ordering::Acquire);
-            match shared.load_slot() {
-                cut if live.saturating_sub(cut.epoch) <= max_epochs_stale => (cut, true),
-                // Too stale: escalate to a consistent cut.
-                _ => match request_cut(shared) {
-                    Some(cut) => (cut, false),
-                    None => {
-                        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                        return conn.send(&WireMessage::QueryRejected {
-                            code: reject::STALE,
-                            detail: format!(
-                                "no published cut within {max_epochs_stale} epochs of \
-                                 live epoch {live}, and the job is no longer running"
-                            ),
-                        });
-                    }
-                },
-            }
-        }
-        QueryConsistency::Consistent => match request_cut(shared) {
-            Some(cut) => (cut, false),
-            None => {
-                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                return conn.send(&WireMessage::QueryRejected {
-                    code: reject::CLOSED,
-                    detail: "the job is no longer running; no consistent cut available".into(),
-                });
-            }
-        },
+    let live = shared.live_epoch.load(Ordering::Acquire);
+    let slot = shared.load_slot();
+    let (cut, cached) = if options.admits(live, slot.epoch) {
+        (slot, true)
+    } else if let Some(cut) = request_cut(shared) {
+        // Consistent, or too stale: a fresh consistent cut.
+        (cut, false)
+    } else {
+        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        let (code, detail) = match options.consistency {
+            QueryConsistency::Cached { max_epochs_stale } => (
+                reject::STALE,
+                format!(
+                    "no published cut within {max_epochs_stale} epochs of live epoch {live}, \
+                     and the job is no longer running"
+                ),
+            ),
+            QueryConsistency::Consistent => (
+                reject::CLOSED,
+                "the job is no longer running; no consistent cut available".into(),
+            ),
+        };
+        return conn.send(&WireMessage::QueryRejected { code, detail });
     };
 
     if cached {
@@ -486,6 +479,7 @@ fn request_cut(shared: &Shared) -> Option<Arc<PublishedCut>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tps_streams::QueryOptions;
 
     /// An ephemeral-port plane; the full socket conversation is covered
     /// by the smoke suite, so these unit tests exercise the slot,
@@ -541,10 +535,11 @@ mod tests {
         plane.shared.live_epoch.store(8, Ordering::Release);
         let live = plane.shared.live_epoch.load(Ordering::Acquire);
         let slot = plane.shared.load_slot();
-        // live - cut = 3: a bound of 3 serves the slot, a bound of 2
-        // escalates.
-        assert!(live.saturating_sub(slot.epoch) <= 3);
-        assert!(live.saturating_sub(slot.epoch) > 2);
+        // A lag of exactly 3: a bound of 3 serves the slot, a bound of 2
+        // escalates, and a consistent query never takes the slot.
+        assert!(QueryOptions::cached(3).admits(live, slot.epoch));
+        assert!(!QueryOptions::cached(2).admits(live, slot.epoch));
+        assert!(!QueryOptions::consistent().admits(live, slot.epoch));
         plane.finish();
     }
 

@@ -4,7 +4,7 @@
 //! `‖f‖_2 / √cols` per row and a median taken across rows. Used by the
 //! baseline perfect-`L_p`-sampler reproduction to recover the maximising
 //! coordinate of the exponentially-scaled vector (the role CountSketch /
-//! CountMin play in [JW18b]).
+//! CountMin play in \[JW18b\]).
 
 use tps_random::{KWiseHash, StreamRng};
 use tps_streams::codec::{self, CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};

@@ -1,7 +1,7 @@
 //! Cross-version snapshot migration: the conversion step the versioning
 //! policy promises.
 //!
-//! Decoders accept exactly [`FORMAT_VERSION`](super::FORMAT_VERSION) —
+//! Decoders accept exactly [`FORMAT_VERSION`] —
 //! checkpoints are operational artifacts, and keeping every decoder
 //! multi-version forever would turn each of them into a museum. Instead,
 //! an old snapshot passes through this module **once**, coming out as a
@@ -39,7 +39,7 @@ pub const V1_SHARDED_PARALLEL_CUTOFF: u64 = 4_096;
 pub const V1_SHARDED_CHUNK_LEN: u64 = 32 * 1024;
 
 /// Converts a sealed snapshot of any supported version into a byte-valid
-/// [`FORMAT_VERSION`](super::FORMAT_VERSION) snapshot. Current-version
+/// [`FORMAT_VERSION`] snapshot. Current-version
 /// input is envelope-validated and returned as-is; v1 input is migrated;
 /// anything else fails with the usual typed
 /// [`CodecError::UnsupportedVersion`].

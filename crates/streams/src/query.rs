@@ -67,11 +67,16 @@ impl QueryOptions {
         }
     }
 
-    /// The staleness bound, if this is a cached query.
-    pub fn max_epochs_stale(&self) -> Option<u64> {
+    /// Whether a cut published at `cut_epoch` may answer this query while
+    /// the live epoch is `live_epoch`: never for a consistent query, and
+    /// for a cached one iff the cut lags by at most `max_epochs_stale`
+    /// epochs. The one staleness rule of every query front door.
+    pub fn admits(&self, live_epoch: u64, cut_epoch: u64) -> bool {
         match self.consistency {
-            QueryConsistency::Consistent => None,
-            QueryConsistency::Cached { max_epochs_stale } => Some(max_epochs_stale),
+            QueryConsistency::Consistent => false,
+            QueryConsistency::Cached { max_epochs_stale } => {
+                live_epoch.saturating_sub(cut_epoch) <= max_epochs_stale
+            }
         }
     }
 }
@@ -118,7 +123,7 @@ mod tests {
             QueryConsistency::Consistent
         );
         assert_eq!(QueryOptions::consistent(), QueryOptions::default());
-        assert_eq!(QueryOptions::default().max_epochs_stale(), None);
+        assert!(!QueryOptions::default().admits(5, 5));
     }
 
     #[test]
@@ -130,7 +135,8 @@ mod tests {
                 max_epochs_stale: 3
             }
         );
-        assert_eq!(opts.max_epochs_stale(), Some(3));
+        assert!(opts.admits(8, 5));
+        assert!(!opts.admits(9, 5));
     }
 
     #[test]
