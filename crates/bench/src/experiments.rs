@@ -785,7 +785,7 @@ pub struct ShardedScaling {
 /// [`ShardedSampler::flush`](tps_core::sharded::ShardedSampler::flush) so
 /// enqueued-but-unapplied chunks cannot flatter the wall clock.
 pub fn e12_sharded(stream_length: usize, universe: u64, shard_counts: &[usize]) -> ShardedScaling {
-    use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
+    use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy, RUNTIME_CHUNK};
 
     let mut rng = default_rng(1_200);
     let stream = zipfian_stream(&mut rng, universe, stream_length, 1.1);
@@ -851,7 +851,7 @@ pub fn e12_sharded(stream_length: usize, universe: u64, shard_counts: &[usize]) 
                             let start = Instant::now();
                             // Chunked exactly like the runtime ships work,
                             // so per-shard batch sizes match the real path.
-                            for chunk in bucket.chunks(32 * 1024) {
+                            for chunk in bucket.chunks(RUNTIME_CHUNK) {
                                 shard_sampler.update_batch(chunk);
                             }
                             start.elapsed().as_secs_f64()

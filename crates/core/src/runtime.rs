@@ -10,9 +10,10 @@
 //! [`crate::sharded::fold_merge`]. The ingest service implements the link
 //! over a wire connection; this module's [`RingLink`] implements it with
 //! one long-lived worker thread per shard, fed by a bounded SPSC ring
-//! ([`tps_streams::spsc`]) of 32Ki-item chunks and barriers. A full ring
-//! blocks `ship` until the worker drains a slot, so every routed chunk is
-//! delivered and memory stays bounded; [`RuntimeStats`] counts the parks.
+//! ([`tps_streams::spsc`]) of two slots for chunks and barriers. A full
+//! ring blocks `ship` until the worker drains a slot, so every routed chunk
+//! is delivered, memory stays bounded, and a barrier never queues behind
+//! more than three chunks; [`RuntimeStats`] counts the parks.
 //!
 //! ## Ownership and safety model
 //!
@@ -115,9 +116,16 @@ pub fn collect_acks<U, L: ShardLink<U>>(
     Ok(snapshots)
 }
 
-/// Commands buffered per shard ring: enough in-flight chunks to ride out
-/// scheduling hiccups, few enough that blocked-ingest memory stays bounded.
-const RING_CAPACITY: usize = 8;
+/// Commands buffered per shard ring. Fixed, not a knob: it bounds how far
+/// the coordinator runs ahead of a shard's worker. After `ship` returns, at
+/// most `RING_CAPACITY + 1` shipped chunks are unapplied (the ring's slots
+/// plus the one the worker holds), so a barrier — and with it every
+/// consistent query — waits behind at most that many chunks per shard:
+/// with [`crate::sharded::RUNTIME_CHUNK`]'s 8Ki-item chunks, 24Ki updates,
+/// about 1 ms for an L2 worker applying ~23 M updates/s. Two slots keep
+/// the next chunk ready while the worker applies one; each extra slot
+/// would add a chunk's apply time to every consistent query.
+pub(crate) const RING_CAPACITY: usize = 2;
 
 /// Pressure and throughput counters of the in-process runtime (cumulative
 /// over the runtime's lifetime, summed across shards). Cheap to read —
@@ -235,9 +243,10 @@ impl<U: StreamUpdate> RingLink<U> {
     }
 
     fn recycle(&mut self, buffer: Vec<U>) {
-        // Bound the free list: beyond a few buffers the extras are dead
-        // capacity.
-        if self.free.len() < 4 {
+        // Bound the free list by the buffers that can be in use at once:
+        // one per ring slot, the worker's in-hand chunk, and the caller's
+        // staging buffer. Any more would be dead capacity.
+        if self.free.len() < RING_CAPACITY + 2 {
             self.free.push(buffer);
         }
     }
@@ -338,6 +347,8 @@ fn worker_loop<S, U>(
 mod tests {
     use super::*;
     use crate::lp::TrulyPerfectLpSampler;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
     use tps_streams::codec::Restore;
     use tps_streams::StreamSampler;
@@ -399,7 +410,8 @@ mod tests {
         let mut direct = samplers(3, 9);
         let items = stream(30_000);
         let mut links = links(&mut via_links);
-        // 20 chunks per shard against an 8-slot ring: the sender must park.
+        // 20 chunks per shard against a `RING_CAPACITY`-slot ring: the
+        // sender must park.
         let mut buffer = Vec::new();
         for (index, chunk) in items.chunks(500).enumerate() {
             buffer.extend_from_slice(chunk);
@@ -421,6 +433,74 @@ mod tests {
         for (a, b) in via_links.iter().zip(&direct) {
             assert_eq!(a.snapshot(), b.snapshot());
         }
+    }
+
+    /// An Lp shard that applies a chunk only when granted a permit, and
+    /// counts the chunks it has applied.
+    struct GatedLp {
+        inner: TrulyPerfectLpSampler,
+        permits: mpsc::Receiver<()>,
+        applied: Arc<AtomicU64>,
+    }
+
+    impl StreamSampler for GatedLp {
+        fn update(&mut self, item: Item) {
+            self.inner.update(item);
+        }
+        fn update_batch(&mut self, items: &[Item]) {
+            // A hung-up grant (the test failed) releases the worker.
+            let _ = self.permits.recv();
+            self.inner.update_batch(items);
+            self.applied.fetch_add(1, Ordering::SeqCst);
+        }
+        fn sample(&mut self) -> tps_streams::SampleOutcome {
+            self.inner.sample()
+        }
+    }
+
+    impl Snapshot for GatedLp {
+        const TAG: u16 = TrulyPerfectLpSampler::TAG;
+        fn encode_into(&self, w: &mut tps_streams::SnapshotWriter) {
+            self.inner.encode_into(w);
+        }
+    }
+
+    /// The lead bound a consistent query waits behind: once `ship`
+    /// returns, at most `RING_CAPACITY + 1` shipped chunks are unapplied
+    /// (the ring's slots plus the worker's in-hand chunk). A stalled worker
+    /// lets the sender reach the bound exactly; past it, one permit per
+    /// ship lets the worker apply at most `shipped - bound` chunks, so the
+    /// lead must sit exactly at the bound.
+    #[test]
+    fn ship_lead_stays_within_ring_capacity_plus_one() {
+        let bound = RING_CAPACITY as u64 + 1;
+        let applied = Arc::new(AtomicU64::new(0));
+        let (grant, permits) = mpsc::channel();
+        let mut shards = [GatedLp {
+            inner: samplers(1, 6).remove(0),
+            permits,
+            applied: Arc::clone(&applied),
+        }];
+        let mut links = links(&mut shards);
+        // Declared after the links, so a failing assertion drops the grant
+        // (releasing the worker) before the links join it.
+        let grant = grant;
+        let chunks = bound + 4;
+        for shipped in 1..=chunks {
+            // No permit until the bound is reached, then one per ship: the
+            // worker never applies more than `shipped - bound` chunks.
+            if shipped > bound {
+                grant.send(()).unwrap();
+            }
+            links[0].ship(vec![shipped; 64]).unwrap();
+            let lead = shipped - applied.load(Ordering::SeqCst);
+            assert_eq!(lead, shipped.min(bound), "unapplied after ship {shipped}");
+        }
+        for _ in 0..bound {
+            grant.send(()).unwrap();
+        }
+        barrier_all(&mut links, 1, BarrierKind::Sync).unwrap();
+        assert_eq!(applied.load(Ordering::SeqCst), chunks);
     }
 
     /// The query barrier is a consistent cut: bytes equal each shard's own

@@ -151,10 +151,14 @@ pub fn fold_merge<S: MergeableSampler>(
 const PARALLEL_MIN_PER_SHARD: usize = 4_096;
 
 /// Items staged per shard before a chunk is shipped to the shard's ring.
-/// Coarse enough that ring crossings and reply traffic are amortised away,
-/// fine enough that a batch pipelines across workers instead of arriving
-/// as one monolith per shard.
-const RUNTIME_CHUNK: usize = 32 * 1024;
+/// Fixed, not a knob; public read-only so benchmarks can slice work the
+/// way the runtime ships it. Coarse enough that ring crossings and reply
+/// traffic are amortised away, fine enough to bound the queue a barrier
+/// waits behind: with the ring's two slots plus the worker's in-hand chunk,
+/// a consistent query drains at most 3 × 8Ki shipped updates plus fewer
+/// than 8Ki staged ones per shard — about 1.4 ms for an L2 worker applying
+/// ~23 M updates/s. Each doubling of the chunk doubles that wait.
+pub const RUNTIME_CHUNK: usize = 8 * 1024;
 
 /// Named-setter construction for [`ShardedSampler`] — the front door that
 /// replaced the positional-argument constructor.
@@ -731,9 +735,9 @@ where
     }
 
     /// The persistent-runtime ingest path: route into per-shard staging
-    /// buffers and ship each 32Ki-item chunk to its shard's [`RingLink`],
-    /// returning once the batch is enqueued (blocking only while a ring is
-    /// full). [`ShardedSampler::flush`], or any query or snapshot, is the
+    /// buffers and ship each [`RUNTIME_CHUNK`]-item chunk to its shard's
+    /// [`RingLink`], returning once the batch is enqueued (blocking only
+    /// while a ring is full). [`ShardedSampler::flush`], or any query or snapshot, is the
     /// completion barrier. Batches below the
     /// [`parallel_cutoff`](ShardedSampler::parallel_cutoff) take an
     /// equivalent scatter-and-drain path on the calling thread until the
@@ -850,11 +854,12 @@ where
 ///
 /// The backpressure byte and chunk-length word date from when the runtime
 /// had a flow-control policy and a chunk-size knob. The encoder writes the
-/// values every sampler used by default (`0` for block, and
-/// `RUNTIME_CHUNK`); the decoder still validates both so snapshots from
-/// older writers restore, then ignores them: a restored sampler blocks and
-/// ships `RUNTIME_CHUNK`-sized chunks, and by the batch ≡ loop law chunk
-/// size cannot change shard state.
+/// frozen v1 values (`0` for block, and
+/// [`V1_SHARDED_CHUNK_LEN`](codec::migrate::V1_SHARDED_CHUNK_LEN)), so
+/// retuning [`RUNTIME_CHUNK`] never moves snapshot bytes; the decoder still
+/// validates both so snapshots from older writers restore, then ignores
+/// them: a restored sampler blocks and ships `RUNTIME_CHUNK`-sized chunks,
+/// and by the batch ≡ loop law chunk size cannot change shard state.
 ///
 /// Because each shard is itself a complete snapshot of a mergeable
 /// sampler, the per-shard records can also be shipped to *different*
@@ -877,7 +882,7 @@ where
         });
         w.put_u8(0);
         w.put_usize(self.parallel_cutoff);
-        w.put_usize(RUNTIME_CHUNK);
+        w.put_u64(codec::migrate::V1_SHARDED_CHUNK_LEN);
         w.put_usize(self.cursor);
         w.put_u64(self.processed);
         self.rng.encode_into(w);
@@ -1111,6 +1116,67 @@ mod tests {
         }
     }
 
+    /// Batches big enough to ship several full chunks per shard mid-batch,
+    /// more in all than a shard's ring holds, with a consistent query
+    /// between them: the runtime path, the sequential path and the
+    /// per-update loop answer the mid-stream query identically and end in
+    /// identical shards.
+    #[test]
+    fn multi_chunk_batches_match_sequential_and_loop() {
+        const BATCH: usize = 64 * 1024;
+        let shards = 2;
+        // Round-robin splits evenly, so every shard gets at least this many
+        // chunks.
+        let chunks_per_shard = crate::runtime::RING_CAPACITY + 4;
+        let len = (shards * chunks_per_shard * RUNTIME_CHUNK).next_multiple_of(BATCH);
+        let stream = zipfish_stream(len, 61);
+        let build = |cutoff: usize| {
+            ShardedSamplerBuilder::new(shards)
+                .strategy(ShardingStrategy::RoundRobin)
+                .seed(37)
+                .parallel_cutoff(cutoff)
+                .build(|idx| TrulyPerfectLpSampler::new(2.0, 512, 0.1, 37 ^ ((idx as u64) << 32)))
+        };
+        let mut looped = build(PARALLEL_MIN_PER_SHARD);
+        let mut sequential = build(BATCH);
+        let mut runtime = build(PARALLEL_MIN_PER_SHARD);
+        let batches: Vec<&[Item]> = stream.chunks(BATCH).collect();
+        let (first, second) = batches.split_at(batches.len() / 2);
+        let query = |s: &mut ShardedSampler<TrulyPerfectLpSampler>| {
+            let snap = s.query(&QueryOptions::consistent());
+            (snap.cut, snap.value.snapshot())
+        };
+        let mut cuts = Vec::new();
+        for half in [first, second] {
+            for batch in half {
+                batch.iter().for_each(|&x| looped.update(x));
+                sequential.update_batch(batch);
+                runtime.update_batch(batch);
+            }
+            let want = query(&mut looped);
+            assert_eq!(want, query(&mut sequential), "sequential cut drifted");
+            assert_eq!(want, query(&mut runtime), "runtime cut drifted");
+            cuts.push(want.0);
+        }
+        assert_eq!(cuts, [(len / 2) as u64, len as u64]);
+        assert!(runtime.runtime_active() && !sequential.runtime_active());
+        let chunks = runtime.runtime_stats().chunks;
+        assert!(
+            chunks >= (shards * chunks_per_shard) as u64,
+            "only {chunks} chunks shipped"
+        );
+        for j in 0..shards {
+            let want = looped.shard(j).snapshot();
+            assert_eq!(want, sequential.shard(j).snapshot(), "sequential shard {j}");
+            assert_eq!(want, runtime.shard(j).snapshot(), "runtime shard {j}");
+        }
+        for draw in 0..4 {
+            let want = looped.sample();
+            assert_eq!(want, sequential.sample(), "sequential draw {draw}");
+            assert_eq!(want, runtime.sample(), "runtime draw {draw}");
+        }
+    }
+
     /// Queries issued *while* the runtime keeps ingesting match a
     /// quiesce-then-query reference: the snapshot barrier cuts exactly at
     /// the routed prefix, and later batches land on top of the same state.
@@ -1222,8 +1288,11 @@ mod tests {
             }
             seal(tag::SHARDED_SAMPLER, &w.into_bytes())
         };
-        // Today's encoder writes exactly the default-policy legacy fields.
-        assert_eq!(legacy(0, RUNTIME_CHUNK as u64), base.snapshot());
+        // Today's encoder writes exactly the frozen v1 legacy fields.
+        assert_eq!(
+            legacy(0, codec::migrate::V1_SHARDED_CHUNK_LEN),
+            base.snapshot()
+        );
         for backpressure in [1, 2] {
             let mut restored: ShardedSampler<TrulyPerfectLpSampler> =
                 ShardedSampler::restore(&legacy(backpressure, 2_048)).unwrap();
