@@ -5,22 +5,39 @@
 //!
 //! The plane leads with its `Hello`, and the client verifies the protocol
 //! version and — for cached queries — the [`caps::CACHED_QUERY`]
-//! capability bit before it trusts any reply. It sends its
-//! [`WireMessage::Query`] at once, without waiting for that `Hello`: a
-//! connection whose handshake completes while the plane closes its
-//! listener (at job end) can be dropped by the server's kernel without a
-//! reset (Linux counts it under `ListenDrops`), and a client that only
-//! listens would then wait out its whole read timeout. A client that has
-//! sent bytes gets the reset at once. The reply is either a `QueryReply`
-//! (mapped to [`QuerySnapshot<QueryReport>`], pinning the epoch/cut that
-//! produced it) or a typed `QueryRejected` (mapped to
+//! capability bit before it trusts any reply. On a fresh connection it
+//! sends its [`WireMessage::Query`] at once, without waiting for that
+//! `Hello`: a connection whose handshake completes while the plane closes
+//! its listener (at job end) can be dropped by the server's kernel
+//! without a reset (Linux counts it under `ListenDrops`), and a client
+//! that only listens would then wait out its whole read timeout. A client
+//! that has sent bytes gets the reset at once. The reply is either a
+//! `QueryReply` (mapped to [`QuerySnapshot<QueryReport>`], pinning the
+//! epoch/cut that produced it) or a typed `QueryRejected` (mapped to
 //! [`QueryError::Stale`] / [`QueryError::Closed`]).
+//!
+//! ## Sessions
+//!
+//! When the plane's `Hello` carries [`caps::QUERY_SESSION`], the client
+//! keeps the connection (and that `Hello`) after a successful reply and
+//! sends its next query on it, checking the stored `Hello` against that
+//! query's required bits. The rules that keep this safe:
+//!
+//! * Only a connection whose last turn ended in a `QueryReply` is kept.
+//!   After any error — a timeout, a rejection, a protocol failure — it is
+//!   dropped, so a late reply can never answer a later query.
+//! * A kept connection that turns out dead (a send error, EOF or a reset
+//!   before the reply: the plane closed it at its idle deadline, or went
+//!   away) is redialled once, transparently. A timeout is never retried.
+//! * One query at a time uses the kept connection; a concurrent query on
+//!   the same client (or a clone) dials its own.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use tps_streams::wire::transport::{tcp_framed, Connection};
+use tps_streams::wire::transport::{tcp_framed, Connection, TcpConnection};
 use tps_streams::wire::{caps, check_hello, reject, WireError, WireMessage};
 use tps_streams::{QueryConsistency, QueryOptions, QuerySnapshot};
 
@@ -97,12 +114,60 @@ impl std::error::Error for QueryError {}
 /// println!("epoch {} (cached: {}): {}", snapshot.epoch, snapshot.cached, snapshot.value);
 /// # Ok::<(), tps_service::client::QueryError>(())
 /// ```
-#[derive(Debug, Clone)]
 pub struct QueryClient {
     addr: String,
     connect_timeout: Duration,
     dial_attempts: u32,
     read_timeout: Option<Duration>,
+    /// The kept connection to a session-capable plane (module docs).
+    session: Mutex<Option<Session>>,
+}
+
+/// An open connection plus the `Hello` the plane sent on it.
+struct Session {
+    conn: TcpConnection,
+    hello: WireMessage,
+}
+
+/// How a turn on a connection failed.
+enum TurnError {
+    /// The connection was gone before any reply arrived: a send error,
+    /// EOF or a reset. A kept connection is redialled once.
+    Dead(QueryError),
+    /// Anything else, a timeout included; never retried.
+    Failed(QueryError),
+}
+
+impl TurnError {
+    fn into_error(self) -> QueryError {
+        match self {
+            TurnError::Dead(e) | TurnError::Failed(e) => e,
+        }
+    }
+}
+
+impl Clone for QueryClient {
+    /// The same settings, with no connection of its own yet.
+    fn clone(&self) -> Self {
+        Self {
+            addr: self.addr.clone(),
+            connect_timeout: self.connect_timeout,
+            dial_attempts: self.dial_attempts,
+            read_timeout: self.read_timeout,
+            session: Mutex::new(None),
+        }
+    }
+}
+
+impl std::fmt::Debug for QueryClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryClient")
+            .field("addr", &self.addr)
+            .field("connect_timeout", &self.connect_timeout)
+            .field("dial_attempts", &self.dial_attempts)
+            .field("read_timeout", &self.read_timeout)
+            .finish_non_exhaustive()
+    }
 }
 
 /// First retry backoff after a failed dial; doubles per attempt.
@@ -121,6 +186,7 @@ impl QueryClient {
             connect_timeout: Duration::from_secs(1),
             dial_attempts: 5,
             read_timeout: None,
+            session: Mutex::new(None),
         }
     }
 
@@ -146,54 +212,73 @@ impl QueryClient {
         self
     }
 
-    /// Dials the plane (with retry/backoff), verifies its `Hello`, sends
-    /// one typed query and returns the reply pinned to the cut that
-    /// produced it.
+    /// Sends one typed query and returns the reply pinned to the cut that
+    /// produced it: on the kept session when there is one, otherwise on a
+    /// fresh connection (dialled with retry/backoff, its `Hello` verified).
     pub fn query(&self, options: &QueryOptions) -> Result<QuerySnapshot<QueryReport>, QueryError> {
+        let required = match options.consistency {
+            QueryConsistency::Consistent => caps::QUERY,
+            QueryConsistency::Cached { .. } => caps::QUERY | caps::CACHED_QUERY,
+        };
+        let kept = self.kept().take();
+        let (session, reply) = match kept {
+            Some(mut session) => {
+                check_hello(&session.hello, required)
+                    .map_err(|e| QueryError::Protocol(e.to_string()))?;
+                match self.turn(&mut session.conn, options) {
+                    Ok(reply) => (session, reply),
+                    Err(TurnError::Dead(_)) => self.open(options, required)?,
+                    Err(TurnError::Failed(e)) => return Err(e),
+                }
+            }
+            None => self.open(options, required)?,
+        };
+        let snapshot = snapshot_of(reply)?;
+        if check_hello(&session.hello, caps::QUERY_SESSION).is_ok() {
+            // A concurrent query may have put its own connection back
+            // first; either one will do.
+            self.kept().get_or_insert(session);
+        }
+        Ok(snapshot)
+    }
+
+    /// The kept-session slot. A panic elsewhere cannot leave it half
+    /// written (it only ever holds a whole session or none), so a
+    /// poisoned lock is still usable.
+    fn kept(&self) -> MutexGuard<'_, Option<Session>> {
+        self.session.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Dials a fresh connection and runs one turn on it. The query goes
+    /// out before the plane's `Hello` is read (see the module docs), and
+    /// that `Hello` is checked before the reply is trusted.
+    fn open(
+        &self,
+        options: &QueryOptions,
+        required: u64,
+    ) -> Result<(Session, WireMessage), QueryError> {
         let stream = self.dial()?;
         stream
             .set_read_timeout(self.read_timeout)
             .map_err(QueryError::Io)?;
         let mut conn = tcp_framed(stream).map_err(QueryError::Io)?;
-
-        // Speak first (see the module docs), then check the plane's Hello:
-        // its version and — for a cached answer — the CACHED_QUERY bit.
         conn.send(&WireMessage::Query { options: *options })
             .map_err(|e| self.classify_io(e))?;
-        let required = match options.consistency {
-            QueryConsistency::Consistent => caps::QUERY,
-            QueryConsistency::Cached { .. } => caps::QUERY | caps::CACHED_QUERY,
-        };
-        let hello = self.recv(&mut conn)?;
+        let hello = self.recv(&mut conn).map_err(TurnError::into_error)?;
         check_hello(&hello, required).map_err(|e| QueryError::Protocol(e.to_string()))?;
+        let reply = self.recv(&mut conn).map_err(TurnError::into_error)?;
+        Ok((Session { conn, hello }, reply))
+    }
 
-        match self.recv(&mut conn)? {
-            WireMessage::QueryReply {
-                processed,
-                merged_fnv,
-                epoch,
-                cut,
-                cached,
-                sample,
-            } => Ok(QuerySnapshot {
-                value: QueryReport {
-                    processed,
-                    merged_fnv,
-                    sample,
-                },
-                epoch,
-                cut,
-                cached,
-            }),
-            WireMessage::QueryRejected { code, detail } => Err(match code {
-                reject::STALE => QueryError::Stale { detail },
-                reject::CLOSED => QueryError::Closed { detail },
-                other => QueryError::Protocol(format!("unknown rejection code {other}: {detail}")),
-            }),
-            other => Err(QueryError::Protocol(format!(
-                "query plane answered with {other:?}"
-            ))),
-        }
+    /// One query turn on a kept connection: send, then read the reply.
+    fn turn(
+        &self,
+        conn: &mut TcpConnection,
+        options: &QueryOptions,
+    ) -> Result<WireMessage, TurnError> {
+        conn.send(&WireMessage::Query { options: *options })
+            .map_err(|e| TurnError::Dead(QueryError::Io(e)))?;
+        self.recv(conn)
     }
 
     /// Connects with retry: each attempt uses `connect_timeout`, failures
@@ -238,14 +323,25 @@ impl QueryClient {
         }))
     }
 
-    fn recv<C: Connection>(&self, conn: &mut C) -> Result<WireMessage, QueryError> {
+    fn recv(&self, conn: &mut TcpConnection) -> Result<WireMessage, TurnError> {
         match conn.recv() {
             Ok(Some(msg)) => Ok(msg),
-            Ok(None) => Err(QueryError::Protocol(
+            Ok(None) => Err(TurnError::Dead(QueryError::Protocol(
                 "query plane closed the connection without replying".into(),
-            )),
-            Err(WireError::Io(e)) => Err(self.classify_io(e)),
-            Err(other) => Err(QueryError::Protocol(other.to_string())),
+            ))),
+            Err(WireError::Io(e))
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionReset
+                        | io::ErrorKind::ConnectionAborted
+                        | io::ErrorKind::BrokenPipe
+                        | io::ErrorKind::UnexpectedEof
+                ) =>
+            {
+                Err(TurnError::Dead(QueryError::Io(e)))
+            }
+            Err(WireError::Io(e)) => Err(TurnError::Failed(self.classify_io(e))),
+            Err(other) => Err(TurnError::Failed(QueryError::Protocol(other.to_string()))),
         }
     }
 
@@ -261,9 +357,41 @@ impl QueryClient {
     }
 }
 
+/// Maps the plane's answer to a query onto the typed result.
+fn snapshot_of(reply: WireMessage) -> Result<QuerySnapshot<QueryReport>, QueryError> {
+    match reply {
+        WireMessage::QueryReply {
+            processed,
+            merged_fnv,
+            epoch,
+            cut,
+            cached,
+            sample,
+        } => Ok(QuerySnapshot {
+            value: QueryReport {
+                processed,
+                merged_fnv,
+                sample,
+            },
+            epoch,
+            cut,
+            cached,
+        }),
+        WireMessage::QueryRejected { code, detail } => Err(match code {
+            reject::STALE => QueryError::Stale { detail },
+            reject::CLOSED => QueryError::Closed { detail },
+            other => QueryError::Protocol(format!("unknown rejection code {other}: {detail}")),
+        }),
+        other => Err(QueryError::Protocol(format!(
+            "query plane answered with {other:?}"
+        ))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn dial_gives_up_with_a_typed_error() {
@@ -278,42 +406,145 @@ mod tests {
         }
     }
 
-    /// The client's query goes out before the plane's `Hello` arrives: a
+    fn reply(epoch: u64) -> WireMessage {
+        WireMessage::QueryReply {
+            processed: 9,
+            merged_fnv: 1,
+            epoch,
+            cut: 3,
+            cached: true,
+            sample: "empty".into(),
+        }
+    }
+
+    /// Reads the client's next message, which must be a query.
+    fn expect_query(conn: &mut TcpConnection) -> QueryOptions {
+        match conn.recv().unwrap() {
+            Some(WireMessage::Query { options }) => options,
+            other => panic!("expected a query, got {other:?}"),
+        }
+    }
+
+    fn listen() -> (TcpListener, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (listener, addr)
+    }
+
+    fn accept(listener: &TcpListener) -> TcpConnection {
+        tcp_framed(listener.accept().unwrap().0).unwrap()
+    }
+
+    /// A plane without the session bit gets one query per connection, and
+    /// the client's query goes out before the plane's `Hello` arrives: a
     /// server that reads the query first still gets it, and then answers
     /// as usual. (A client that waited for the `Hello` would time out.)
     #[test]
     fn query_is_sent_before_the_hello_is_read() {
-        use tps_streams::wire::transport::{Listener, TcpServerListener};
-
-        let mut listener = TcpServerListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+        let (listener, addr) = listen();
         let server = std::thread::spawn(move || {
-            let mut conn = listener.accept().unwrap().expect("tcp accepts");
-            let options = match conn.recv().unwrap() {
-                Some(WireMessage::Query { options }) => options,
-                other => panic!("expected the query first, got {other:?}"),
-            };
-            conn.send(&WireMessage::hello(0, 4)).unwrap();
-            conn.send(&WireMessage::QueryReply {
-                processed: 9,
-                merged_fnv: 1,
-                epoch: 4,
-                cut: 3,
-                cached: true,
-                sample: "empty".into(),
-            })
-            .unwrap();
-            options
+            let mut seen = Vec::new();
+            for epoch in [4, 5] {
+                let mut conn = accept(&listener);
+                seen.push(expect_query(&mut conn));
+                conn.send(&WireMessage::Hello {
+                    protocol: tps_streams::wire::WIRE_PROTOCOL_VERSION,
+                    capabilities: caps::ALL & !caps::QUERY_SESSION,
+                    shard: 0,
+                    resume_epoch: epoch,
+                })
+                .unwrap();
+                conn.send(&reply(epoch)).unwrap();
+                assert!(conn.recv().unwrap().is_none(), "the client hangs up");
+            }
+            seen
         });
-        let snapshot = QueryClient::new(addr)
-            .read_timeout(Duration::from_secs(5))
-            .query(&QueryOptions::cached(2))
-            .unwrap();
-        assert_eq!(
-            (snapshot.epoch, snapshot.cut, snapshot.cached),
-            (4, 3, true)
-        );
-        assert_eq!(server.join().unwrap(), QueryOptions::cached(2));
+        let client = QueryClient::new(addr).read_timeout(Duration::from_secs(5));
+        for epoch in [4, 5] {
+            let snapshot = client.query(&QueryOptions::cached(2)).unwrap();
+            assert_eq!(
+                (snapshot.epoch, snapshot.cut, snapshot.cached),
+                (epoch, 3, true)
+            );
+        }
+        assert_eq!(server.join().unwrap(), [QueryOptions::cached(2); 2]);
+    }
+
+    /// A session plane answers many queries on one connection. When it
+    /// closes that connection between queries (its idle deadline), the
+    /// next query redials once, transparently.
+    #[test]
+    fn a_session_is_reused_and_redialled_once_when_dead() {
+        let (listener, addr) = listen();
+        let server = std::thread::spawn(move || {
+            let mut conn = accept(&listener);
+            expect_query(&mut conn);
+            conn.send(&WireMessage::hello(0, 1)).unwrap();
+            conn.send(&reply(1)).unwrap();
+            expect_query(&mut conn);
+            conn.send(&reply(2)).unwrap();
+            drop(conn); // the idle deadline
+            let mut conn = accept(&listener);
+            assert_eq!(expect_query(&mut conn), QueryOptions::consistent());
+            conn.send(&WireMessage::hello(0, 3)).unwrap();
+            conn.send(&reply(3)).unwrap();
+        });
+        let client = QueryClient::new(addr).read_timeout(Duration::from_secs(5));
+        let epochs: Vec<u64> = [QueryOptions::cached(2), QueryOptions::cached(2)]
+            .into_iter()
+            .chain([QueryOptions::consistent()])
+            .map(|options| client.query(&options).unwrap().epoch)
+            .collect();
+        assert_eq!(epochs, [1, 2, 3]);
+        server.join().unwrap();
+        // A clone starts with no connection: it dials the (now gone)
+        // plane afresh instead of sharing the session.
+        let clone = client
+            .clone()
+            .connect_timeout(Duration::from_millis(50))
+            .dial_attempts(1);
+        assert!(matches!(
+            clone.query(&QueryOptions::consistent()),
+            Err(QueryError::Dial { attempts: 1, .. })
+        ));
+    }
+
+    /// A timed-out query drops its connection and is never retried, so
+    /// the reply that arrives late can never answer a later query.
+    #[test]
+    fn a_late_reply_is_never_returned_and_a_timeout_is_never_retried() {
+        let (listener, addr) = listen();
+        let (timed_out_tx, timed_out_rx) = std::sync::mpsc::channel();
+        let (checked_tx, checked_rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let mut conn = accept(&listener);
+            expect_query(&mut conn);
+            conn.send(&WireMessage::hello(0, 1)).unwrap();
+            conn.send(&reply(1)).unwrap();
+            expect_query(&mut conn);
+            timed_out_rx.recv().unwrap();
+            // The client has given up: answer late, on the old connection.
+            let _ = conn.send(&reply(99));
+            listener.set_nonblocking(true).unwrap();
+            let retried = listener.accept().is_ok();
+            listener.set_nonblocking(false).unwrap();
+            checked_tx.send(retried).unwrap();
+            let mut conn = accept(&listener);
+            expect_query(&mut conn);
+            conn.send(&WireMessage::hello(0, 3)).unwrap();
+            conn.send(&reply(3)).unwrap();
+        });
+        let after = Duration::from_millis(500);
+        let client = QueryClient::new(addr).read_timeout(after);
+        assert_eq!(client.query(&QueryOptions::cached(2)).unwrap().epoch, 1);
+        match client.query(&QueryOptions::cached(2)) {
+            Err(QueryError::Timeout { after: t }) => assert_eq!(t, after),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+        timed_out_tx.send(()).unwrap();
+        assert!(!checked_rx.recv().unwrap(), "a timeout was retried");
+        assert_eq!(client.query(&QueryOptions::cached(2)).unwrap().epoch, 3);
+        server.join().unwrap();
     }
 
     #[test]

@@ -539,7 +539,7 @@ impl FaultPlan {
 pub struct QueryPlan {
     /// Bind a TCP listener here (e.g. `127.0.0.1:0`) and start the
     /// non-stalling query plane (`query.rs`): a dedicated accept thread
-    /// plus detached per-client handlers serving cached queries from the
+    /// plus detached per-session handlers serving cached queries from the
     /// published snapshot cache and consistent queries from one query
     /// barrier per chunk boundary. The bound address is announced as
     /// `query-listening <addr>` on stdout.

@@ -25,8 +25,10 @@
 //!   runs*, off the barrier loop: checkpoint barriers publish their cut
 //!   into a snapshot cache, cached queries are answered straight from it,
 //!   and consistent queries cost one query barrier at the next chunk
-//!   boundary — a wedged client blocks only its own detached handler
-//!   thread, never a barrier (see `query.rs`).
+//!   boundary. A client connection is a session: one handler thread
+//!   answers every query the client sends on it, until the client hangs
+//!   up or idles out. A wedged client blocks only its own session's
+//!   detached handler thread, never a barrier (see `query.rs`).
 //!
 //! ## Failure semantics
 //!

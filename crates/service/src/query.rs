@@ -1,13 +1,24 @@
 //! The non-stalling query plane: a dedicated accept thread plus one
-//! detached handler thread per client, serving merged samples from a
-//! shared **snapshot cache** so that no client — however slow to read its
-//! reply — can ever hold up an ingest barrier.
+//! detached handler thread per client session, serving merged samples
+//! from a shared **snapshot cache** so that no client — however slow to
+//! read its reply — can ever hold up an ingest barrier.
 //!
 //! The accept thread parks in a blocking `accept`, so an idle plane costs
 //! nothing and a dialling client is picked up at once; shutdown wakes it
 //! by dialling the plane's own port. A failed `accept` (a connection
 //! aborted while queued, a full descriptor table) is logged and the
 //! thread keeps accepting: only shutdown ends it.
+//!
+//! ## Sessions
+//!
+//! A connection is a session
+//! ([`QUERY_SESSION`](tps_streams::wire::caps::QUERY_SESSION)): its
+//! handler sends one `Hello`, then answers `Query` after `Query` until
+//! the client closes, so a client that dials once pays no dial, accept
+//! or thread spawn per query. Each accepted socket carries a fixed idle
+//! read deadline ([`IDLE_DEADLINE`]); a session that sends nothing for
+//! that long is closed quietly, so an idle client holds a parked thread
+//! for a bounded time, not for its whole life.
 //!
 //! ## The published-cut slot
 //!
@@ -30,7 +41,7 @@
 //! chunk boundaries: one query barrier (`tps_core::runtime::barrier_all`)
 //! serves *all* of them with the same `Arc<PublishedCut>`. The barrier
 //! itself never touches a client socket — a wedged client blocks only its
-//! own detached thread.
+//! own session's detached thread.
 //!
 //! ## Merging off the barrier path
 //!
@@ -48,9 +59,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tps_streams::wire::transport::{poll_backoff, Connection, Listener, TcpServerListener};
-use tps_streams::wire::{reject, WireMessage};
-use tps_streams::QueryConsistency;
+use tps_streams::wire::transport::{
+    poll_backoff, Connection, Listener, TcpConnection, TcpServerListener,
+};
+use tps_streams::wire::{reject, WireError, WireMessage};
+use tps_streams::{QueryConsistency, QueryOptions};
 
 use crate::config::SamplerKind;
 use crate::coordinator::{merge_report, QueryReport};
@@ -92,6 +105,7 @@ impl CutRequest {
 /// `tps_core::RuntimeStats`, one layer up.
 #[derive(Debug, Default)]
 struct PlaneCounters {
+    connections: AtomicU64,
     served: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -103,6 +117,8 @@ struct PlaneCounters {
 /// A point-in-time copy of the plane's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryPlaneStats {
+    /// Client connections accepted (one handler thread each).
+    pub connections: u64,
     /// Queries answered with a `QueryReply`.
     pub served: u64,
     /// Cached queries answered straight from the published slot.
@@ -168,6 +184,10 @@ impl Shared {
 /// How long shutdown waits for its wake-up dial to the plane's own port.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// How long a session may wait for its client's next query before the
+/// plane closes it. A client that comes back later redials.
+pub const IDLE_DEADLINE: Duration = Duration::from_secs(30);
+
 /// The coordinator's handle on the query plane. Constructed with
 /// [`QueryPlane::start`]; fed via [`QueryPlane::publish`] and the
 /// [`CutRequest`] channel; torn down with [`QueryPlane::finish`].
@@ -203,24 +223,24 @@ impl QueryPlane {
                 SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
             });
         }
-        let plane = Self::serve(listener, wake_addr, kind, seed, initial)?;
+        let plane = Self::serve(listener, wake_addr, kind, seed, initial, IDLE_DEADLINE)?;
         println!("query-listening {bound}");
         io::stdout().flush()?;
         Ok(plane)
     }
 
     /// Spawns the accept thread over `listener`, whose connections
-    /// `wake_addr` reaches.
+    /// `wake_addr` reaches and idle out after `idle_deadline`.
     fn serve<L>(
         listener: L,
         wake_addr: SocketAddr,
         kind: SamplerKind,
         seed: u64,
         initial: PublishedCut,
+        idle_deadline: Duration,
     ) -> io::Result<Self>
     where
-        L: Listener + Send + 'static,
-        L::Conn: Send + 'static,
+        L: Listener<Conn = TcpConnection> + Send + 'static,
     {
         let (requests_tx, requests_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
@@ -236,7 +256,7 @@ impl QueryPlane {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("tps-query-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))?;
+            .spawn(move || accept_loop(listener, accept_shared, idle_deadline))?;
         Ok(Self {
             shared,
             requests: requests_rx,
@@ -285,6 +305,7 @@ impl QueryPlane {
     pub fn stats(&self) -> QueryPlaneStats {
         let c = &self.shared.counters;
         QueryPlaneStats {
+            connections: c.connections.load(Ordering::Relaxed),
             served: c.served.load(Ordering::Relaxed),
             cache_hits: c.cache_hits.load(Ordering::Relaxed),
             cache_misses: c.cache_misses.load(Ordering::Relaxed),
@@ -305,13 +326,14 @@ impl QueryPlane {
         let stats = self.stats();
         eprintln!(
             "query-plane: served={} cache_hits={} cache_misses={} rejected={} \
-             latency_mean_us={} latency_max_us={}",
+             latency_mean_us={} latency_max_us={} connections={}",
             stats.served,
             stats.cache_hits,
             stats.cache_misses,
             stats.rejected,
             stats.latency_mean_micros(),
             stats.latency_max_micros,
+            stats.connections,
         );
         stats
     }
@@ -343,15 +365,14 @@ impl Drop for QueryPlane {
 }
 
 /// The dedicated accept loop: parks in a blocking `accept` until a client
-/// dials (or shutdown dials to wake it); each accepted client gets a
-/// detached handler thread. A failed `accept` costs one backoff sleep,
-/// so an error that repeats (a full descriptor table) cannot spin a core,
-/// and never ends the loop: only shutdown (or a transport out of
-/// connections) does.
-fn accept_loop<L>(mut listener: L, shared: Arc<Shared>)
+/// dials (or shutdown dials to wake it); each accepted client gets the
+/// idle read deadline and a detached handler thread for its session. A
+/// failed `accept` costs one backoff sleep, so an error that repeats (a
+/// full descriptor table) cannot spin a core, and never ends the loop:
+/// only shutdown (or a transport out of connections) does.
+fn accept_loop<L>(mut listener: L, shared: Arc<Shared>, idle_deadline: Duration)
 where
-    L: Listener,
-    L::Conn: Send + 'static,
+    L: Listener<Conn = TcpConnection>,
 {
     let mut backoff = Duration::ZERO;
     loop {
@@ -362,12 +383,19 @@ where
         match accepted {
             Ok(Some(conn)) => {
                 backoff = Duration::ZERO;
+                if let Err(e) = conn.set_read_timeout(Some(idle_deadline)) {
+                    eprintln!("query-plane: cannot set the idle deadline: {e}");
+                    continue;
+                }
                 let handler_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
                     .name("tps-query-handler".into())
                     .spawn(move || handle_client(conn, handler_shared));
-                if let Err(e) = spawned {
-                    eprintln!("query-plane: cannot spawn handler: {e}");
+                match spawned {
+                    Ok(_) => {
+                        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(e) => eprintln!("query-plane: cannot spawn handler: {e}"),
                 }
             }
             Ok(None) => return,
@@ -380,31 +408,55 @@ where
     }
 }
 
-/// Serves one client conversation end to end in its own thread. Errors
-/// are logged, never propagated — a broken client is its own problem.
+/// Serves one client session end to end in its own thread. Errors are
+/// logged, never propagated — a broken client is its own problem.
 fn handle_client<C: Connection>(mut conn: C, shared: Arc<Shared>) {
     if let Err(e) = serve_one(&mut conn, &shared) {
         eprintln!("query-plane: client failed: {e}");
     }
 }
 
+/// One session: the plane's `Hello` once, then a reply per `Query` until
+/// the client hangs up or the idle deadline expires, both of which end
+/// the session quietly.
 fn serve_one<C: Connection>(conn: &mut C, shared: &Shared) -> io::Result<()> {
-    // The client checks this Hello's protocol version and CACHED_QUERY
-    // bit before it trusts the reply; its query may already be queued.
+    // The client checks this Hello's protocol version and capability bits
+    // before it trusts a reply; its first query may already be queued.
     let live = shared.live_epoch.load(Ordering::Acquire);
     conn.send(&WireMessage::hello(0, live))?;
-    let options = match conn.recv() {
-        Ok(Some(WireMessage::Query { options })) => options,
-        Ok(Some(other)) => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("query client sent {other:?}"),
-            ))
-        }
-        Ok(None) => return Ok(()), // dialed and hung up; nothing to serve
-        Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-    };
+    loop {
+        let options = match conn.recv() {
+            Ok(Some(WireMessage::Query { options })) => options,
+            Ok(Some(other)) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("query client sent {other:?}"),
+                ))
+            }
+            Ok(None) => return Ok(()), // hung up between queries
+            // The idle deadline (`WouldBlock` or `TimedOut` by platform).
+            Err(WireError::Io(e))
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(())
+            }
+            Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+        };
+        serve_query(conn, shared, &options)?;
+    }
+}
 
+/// Answers one query: from the published slot when its staleness bound
+/// admits it, otherwise from a fresh consistent cut, or a typed rejection
+/// when the job can no longer take one.
+fn serve_query<C: Connection>(
+    conn: &mut C,
+    shared: &Shared,
+    options: &QueryOptions,
+) -> io::Result<()> {
     let start = Instant::now();
     let live = shared.live_epoch.load(Ordering::Acquire);
     let slot = shared.load_slot();
@@ -479,7 +531,6 @@ fn request_cut(shared: &Shared) -> Option<Arc<PublishedCut>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tps_streams::QueryOptions;
 
     /// An ephemeral-port plane; the full socket conversation is covered
     /// by the smoke suite, so these unit tests exercise the slot,
@@ -488,12 +539,14 @@ mod tests {
         QueryPlane::start("127.0.0.1:0", SamplerKind::L2, 7, cut(1)).unwrap()
     }
 
+    /// A one-shard cut holding a fresh L2 sampler's snapshot.
     fn cut(epoch: u64) -> PublishedCut {
+        use tps_streams::codec::Snapshot as _;
         PublishedCut {
             epoch,
             chunks_routed: epoch * 3,
             processed: epoch * 3_000,
-            snapshots: vec![Vec::new()],
+            snapshots: vec![crate::config::make_l2(1 << 12, 7, 0).snapshot()],
         }
     }
 
@@ -592,7 +645,8 @@ mod tests {
             inner,
             failed: false,
         };
-        let plane = QueryPlane::serve(listener, addr, SamplerKind::L2, 7, cut(3)).unwrap();
+        let plane =
+            QueryPlane::serve(listener, addr, SamplerKind::L2, 7, cut(3), IDLE_DEADLINE).unwrap();
         // The first accept fails before this client is taken; the loop
         // must keep accepting and serve it (server-first Hello).
         let mut client = tcp_connect(addr).unwrap();
@@ -602,6 +656,125 @@ mod tests {
         }
         drop(client);
         plane.finish();
+    }
+
+    /// A connection that replays a fixed script of inbound results and
+    /// records what the plane sends; an exhausted script reads as EOF.
+    struct Scripted {
+        inbound: std::collections::VecDeque<Result<Option<WireMessage>, WireError>>,
+        sent: Vec<WireMessage>,
+    }
+
+    impl Connection for Scripted {
+        fn send(&mut self, msg: &WireMessage) -> io::Result<()> {
+            self.sent.push(msg.clone());
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Option<WireMessage>, WireError> {
+            self.inbound.pop_front().unwrap_or(Ok(None))
+        }
+    }
+
+    fn query_turn() -> Result<Option<WireMessage>, WireError> {
+        Ok(Some(WireMessage::Query {
+            options: QueryOptions::cached(0),
+        }))
+    }
+
+    #[test]
+    fn a_session_answers_each_query_after_one_hello_and_ends_quietly() {
+        let plane = plane_for_test();
+        // The idle deadline (either error kind), then a hang-up.
+        for end in [
+            Some(io::ErrorKind::WouldBlock),
+            Some(io::ErrorKind::TimedOut),
+            None,
+        ] {
+            let last = match end {
+                Some(kind) => Err(WireError::Io(kind.into())),
+                None => Ok(None),
+            };
+            let mut conn = Scripted {
+                inbound: [query_turn(), query_turn(), last].into(),
+                sent: Vec::new(),
+            };
+            serve_one(&mut conn, &plane.shared)
+                .unwrap_or_else(|e| panic!("{end:?} must end the session quietly: {e}"));
+            assert!(matches!(conn.sent[0], WireMessage::Hello { .. }));
+            assert_eq!(conn.sent.len(), 3, "one Hello, then one reply per query");
+            for reply in &conn.sent[1..] {
+                assert!(
+                    matches!(
+                        reply,
+                        WireMessage::QueryReply {
+                            epoch: 1,
+                            cached: true,
+                            ..
+                        }
+                    ),
+                    "{reply:?}"
+                );
+            }
+        }
+        assert_eq!(plane.finish().served, 6);
+    }
+
+    #[test]
+    fn a_broken_session_is_an_error() {
+        let plane = plane_for_test();
+        let mut conn = Scripted {
+            inbound: [query_turn(), Ok(Some(WireMessage::Shutdown))].into(),
+            sent: Vec::new(),
+        };
+        let err = serve_one(&mut conn, &plane.shared).unwrap_err();
+        assert!(err.to_string().contains("Shutdown"), "{err}");
+        assert_eq!(conn.sent.len(), 2, "the query before the junk was served");
+        plane.finish();
+    }
+
+    #[test]
+    fn an_idle_session_is_closed_at_the_deadline() {
+        use tps_streams::wire::transport::tcp_connect;
+
+        let listener = TcpServerListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let idle = Duration::from_millis(200);
+        let plane = QueryPlane::serve(listener, addr, SamplerKind::L2, 7, cut(1), idle).unwrap();
+        let mut client = tcp_connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let query = WireMessage::Query {
+            options: QueryOptions::cached(0),
+        };
+        client.send(&query).unwrap();
+        assert!(matches!(
+            client.recv().unwrap(),
+            Some(WireMessage::Hello { .. })
+        ));
+        // Two turns on one connection, the second without a Hello.
+        for _ in 0..2 {
+            match client.recv().unwrap() {
+                Some(WireMessage::QueryReply { epoch: 1, .. }) => {}
+                other => panic!("expected a reply, got {other:?}"),
+            }
+            client.send(&query).unwrap();
+        }
+        match client.recv().unwrap() {
+            Some(WireMessage::QueryReply { epoch: 1, .. }) => {}
+            other => panic!("expected a reply, got {other:?}"),
+        }
+        // Then silence: the plane hangs up once the deadline passes.
+        let silent = Instant::now();
+        assert!(client.recv().unwrap().is_none(), "the plane closes");
+        assert!(
+            silent.elapsed() >= idle / 2,
+            "closed after {:?}",
+            silent.elapsed()
+        );
+        let stats = plane.finish();
+        assert_eq!((stats.connections, stats.served), (1, 3));
     }
 
     #[test]

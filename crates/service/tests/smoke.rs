@@ -34,7 +34,7 @@ use tps_service::config::{job_stream, SamplerKind, ServiceBuilder, TransportKind
 use tps_service::coordinator::{run_reference, QueryReport};
 use tps_service::manifest::{Manifest, ShardState};
 use tps_service::store::CheckpointStore;
-use tps_service::JobSpec;
+use tps_service::{JobSpec, QueryClient};
 use tps_streams::codec::delta::{peek_frame, CheckpointReplayer, FrameKind};
 use tps_streams::wire::transport::{tcp_framed, Connection};
 use tps_streams::wire::WireMessage;
@@ -767,6 +767,90 @@ fn concurrent_queries_mid_ingest_all_get_valid_cuts() {
             .expect("latency artifact writes");
         eprintln!("smoke: wrote query_latency.json");
     }
+}
+
+/// One in-process client runs a mix of consistent and cached queries
+/// mid-ingest over one kept-alive session: every answer sits on its cut,
+/// the plane counts a single connection for all of them, and the final
+/// report still equals the reference.
+#[test]
+fn one_client_session_serves_mixed_queries_mid_ingest() {
+    const QUERIES: usize = 40;
+    let dir = JobDir::fresh("query-session");
+    let spec = JobSpec {
+        // Long enough that ingest is still running when the last query
+        // is answered: each consistent query waits one chunk boundary.
+        count: 400_000,
+        ..base_spec(SamplerKind::L2, dir.path(), true)
+    };
+    let mut coordinator = coordinator_cmd(
+        &spec,
+        &[
+            "--query-listen",
+            "127.0.0.1:0",
+            "--await-query-after-chunks",
+            "15",
+        ],
+    )
+    .stdout(Stdio::piped())
+    .stderr(Stdio::piped())
+    .spawn()
+    .expect("coordinator spawns");
+    let mut stderr = coordinator.stderr.take().expect("piped stderr");
+    let stderr = std::thread::spawn(move || {
+        let mut text = String::new();
+        std::io::Read::read_to_string(&mut stderr, &mut text).expect("coordinator stderr");
+        text
+    });
+    let mut stdout = BufReader::new(coordinator.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("endpoint line");
+    let addr = line
+        .trim()
+        .strip_prefix("query-listening ")
+        .unwrap_or_else(|| panic!("unexpected announcement {line:?}"))
+        .to_string();
+
+    // The first, consistent, query releases the awaited chunk-15 cut.
+    let client = QueryClient::new(addr).read_timeout(std::time::Duration::from_secs(30));
+    let mut last_cut = 0;
+    for i in 0..QUERIES {
+        let options = if i % 2 == 0 {
+            QueryOptions::consistent()
+        } else {
+            QueryOptions::cached(1)
+        };
+        let snapshot = client
+            .query(&options)
+            .unwrap_or_else(|e| panic!("query {i} ({options:?}) failed: {e}"));
+        assert_eq!(
+            snapshot.value.processed,
+            (snapshot.cut * spec.chunk as u64).min(spec.count as u64),
+            "query {i}: processed does not match its cut"
+        );
+        last_cut = snapshot.cut;
+    }
+    assert!(
+        last_cut < spec.count.div_ceil(spec.chunk) as u64,
+        "the last query landed after ingest ended"
+    );
+    drop(client);
+
+    let fin = finish_coordinator(coordinator, stdout);
+    let stderr = stderr.join().expect("stderr reader");
+    let summary = stderr
+        .lines()
+        .find(|l| l.starts_with("query-plane: served="))
+        .unwrap_or_else(|| panic!("no query-plane summary in {stderr}"));
+    assert!(
+        summary.ends_with(" connections=1"),
+        "one session should serve every query: {summary}"
+    );
+    assert_eq!(
+        fin,
+        run_reference(&spec).unwrap(),
+        "final report after a query session drifted from the reference"
+    );
 }
 
 /// An empty universe is a bad flag, not a bug: the job commands and the

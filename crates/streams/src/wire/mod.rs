@@ -46,6 +46,9 @@
 //! client → coordinator   Query { options }
 //! coordinator → client   QueryReply { processed, merged_fnv, epoch, cut, cached, sample }
 //!                        | QueryRejected { code, detail }
+//! client → coordinator   Query { options }            (later queries on the same
+//! coordinator → client   QueryReply | QueryRejected    connection, when the Hello
+//!                                                      carried QUERY_SESSION)
 //! ```
 //!
 //! A `Checkpoint` barrier makes the worker append an incremental frame
@@ -65,12 +68,17 @@
 //!
 //! On the query plane the roles flip: the *server* sends the `Hello` (so a
 //! client can check the [`caps::CACHED_QUERY`] bit before trusting a
-//! cached answer), the client sends one [`WireMessage::Query`] carrying
+//! cached answer), the client sends a [`WireMessage::Query`] carrying
 //! its typed [`QueryOptions`] — without waiting for that `Hello`, so a
 //! connection the server dropped surfaces as a reset instead of a silent
 //! wait — and the server answers with a
 //! [`WireMessage::QueryReply`] pinned to the cut that produced it — or a
-//! typed [`WireMessage::QueryRejected`] when it cannot.
+//! typed [`WireMessage::QueryRejected`] when it cannot. A server whose
+//! `Hello` carries [`caps::QUERY_SESSION`] keeps the connection open for
+//! further `Query` → reply turns, with no second `Hello`, until the client
+//! closes it or it idles past the server's deadline; a client keeps a
+//! connection only when that bit is set, so a server without it still
+//! gets one query per connection.
 //!
 //! ## Versioning and negotiation
 //!
@@ -133,9 +141,14 @@ pub mod caps {
     /// The worker acks [`super::BarrierKind::Sync`] barriers, the
     /// coordinator's one-chunk credit window on every ingest link.
     pub const CREDIT: u64 = 1 << 3;
+    /// The query plane serves many `Query` turns on one connection (a
+    /// session): after its one `Hello` it answers each query in turn
+    /// until the client closes or the connection idles out. A client
+    /// keeps a connection for its next query only when this bit is set.
+    pub const QUERY_SESSION: u64 = 1 << 4;
 
     /// Every capability this build implements.
-    pub const ALL: u64 = SIGNED_INGEST | QUERY | CACHED_QUERY | CREDIT;
+    pub const ALL: u64 = SIGNED_INGEST | QUERY | CACHED_QUERY | CREDIT | QUERY_SESSION;
 }
 
 /// Hard cap on a single wire message (prefix-declared), validated before

@@ -120,6 +120,14 @@ pub fn tcp_framed(stream: TcpStream) -> io::Result<TcpConnection> {
     Ok(FramedConnection::new(reader, stream))
 }
 
+impl TcpConnection {
+    /// Sets the socket's read timeout: a `recv` that waits longer fails
+    /// with `WouldBlock` or `TimedOut` (the kind is platform-dependent).
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+}
+
 /// Dials a worker endpoint (`host:port`), returning the framed
 /// connection.
 pub fn tcp_connect<A: ToSocketAddrs>(addr: A) -> io::Result<TcpConnection> {
