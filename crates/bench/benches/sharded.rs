@@ -3,7 +3,7 @@
 //! perf gates track.
 //!
 //! Shards ingest on the persistent worker-pool runtime — each shard a
-//! long-lived thread fed by an SPSC ring, with the coordinator's
+//! long-lived thread fed by a bounded channel, with the coordinator's
 //! route-and-stage pass pipelining against shard ingest — so the
 //! shard-count curve follows the host's available parallelism; routing
 //! cost and shard skew are the overheads the speedup has to amortise.

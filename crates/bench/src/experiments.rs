@@ -777,8 +777,8 @@ pub struct ShardedScaling {
 
 /// E12: ingest throughput of the hash-sharded L2 sampler across shard
 /// counts on a Zipf(1.1) workload, against the single-instance batched
-/// path. Each shard ingests on its own persistent worker thread fed by an
-/// SPSC ring, so the curve tracks available hardware parallelism
+/// path. Each shard ingests on its own persistent worker thread fed by a
+/// bounded channel, so the curve tracks available hardware parallelism
 /// (reported in `cores`): on a `c`-core host the wall-clock plateau is
 /// bounded by `min(shards, c)` and, past that, by the coordinator's
 /// route-and-stage pass. The timed region includes the final

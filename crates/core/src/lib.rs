@@ -50,8 +50,8 @@
 //! * [`runtime`] — the consistent-cut protocol under [`sharded`] and the
 //!   ingest service: the `ShardLink` seam, the barrier collector
 //!   `barrier_all`, and the in-thread `RingLink` (one long-lived worker
-//!   per shard behind a bounded SPSC ring; a full ring parks the sender,
-//!   no chunk is ever dropped).
+//!   per shard behind a bounded channel; a full channel blocks the
+//!   sender, no chunk is ever dropped).
 //!
 //! ## Quick example
 //!

@@ -9,11 +9,12 @@
 //! a consistent cut, which the caller restores and folds with
 //! [`crate::sharded::fold_merge`]. The ingest service implements the link
 //! over a wire connection; this module's [`RingLink`] implements it with
-//! one long-lived worker thread per shard, fed by a bounded SPSC ring
-//! ([`tps_streams::spsc`]) of two slots for chunks and barriers. A full
-//! ring blocks `ship` until the worker drains a slot, so every routed chunk
-//! is delivered, memory stays bounded, and a barrier never queues behind
-//! more than three chunks; [`RuntimeStats`] counts the parks.
+//! one long-lived worker thread per shard, fed by a bounded
+//! [`mpsc::sync_channel`] of `RING_CAPACITY` (two) slots for chunks and
+//! barriers. A full channel blocks `ship` until the worker drains a slot,
+//! so every routed chunk is delivered, memory stays bounded, and a barrier
+//! never queues behind more than three chunks; [`RuntimeStats`] counts the
+//! blocked sends.
 //!
 //! ## Ownership and safety model
 //!
@@ -23,12 +24,12 @@
 //!
 //! * between `start` and the link's drop, the worker is the only code that
 //!   dereferences the pointer — **except** after the coordinator collected
-//!   a barrier's ack and before it sends the next command: the ring is
-//!   then empty and the worker parked, so the coordinator may read (or,
+//!   a barrier's ack and before it sends the next command: the channel is
+//!   then empty and the worker blocked, so the coordinator may read (or,
 //!   with `&mut` access, mutate) the shard directly;
-//! * dropping the link closes the ring, lets the worker drain what is
+//! * dropping the link closes the channel, lets the worker drain what is
 //!   already queued, and joins it. A worker that panics drops its reply
-//!   sender, so the next `ack` (or a `ship` into its closed ring) joins it
+//!   sender, so the next `ack` (or a `ship` into its closed channel) joins it
 //!   and re-raises the panic on the coordinator thread, as drop does.
 
 use std::io;
@@ -36,7 +37,6 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 use tps_streams::codec::Snapshot;
-use tps_streams::spsc::{self, Consumer, Producer, PushError};
 use tps_streams::wire::BarrierKind;
 use tps_streams::{Item, StreamUpdate, UpdateSampler};
 
@@ -116,15 +116,18 @@ pub fn collect_acks<U, L: ShardLink<U>>(
     Ok(snapshots)
 }
 
-/// Commands buffered per shard ring. Fixed, not a knob: it bounds how far
+/// Commands buffered per shard link. Fixed, not a knob: it bounds how far
 /// the coordinator runs ahead of a shard's worker. After `ship` returns, at
-/// most `RING_CAPACITY + 1` shipped chunks are unapplied (the ring's slots
-/// plus the one the worker holds), so a barrier — and with it every
-/// consistent query — waits behind at most that many chunks per shard:
-/// with [`crate::sharded::RUNTIME_CHUNK`]'s 8Ki-item chunks, 24Ki updates,
-/// about 1 ms for an L2 worker applying ~23 M updates/s. Two slots keep
-/// the next chunk ready while the worker applies one; each extra slot
-/// would add a chunk's apply time to every consistent query.
+/// most `RING_CAPACITY + 1` shipped chunks are unapplied (the channel's
+/// slots plus the one the worker holds). A consistent query also ships
+/// each shard's staged remainder, less than one more chunk, so its barrier
+/// waits for the worker to apply at most those `RING_CAPACITY + 1` chunks
+/// plus the remainder: with [`crate::sharded::RUNTIME_CHUNK`]'s
+/// 8Ki-item chunks, 24Ki shipped plus fewer than 8Ki staged updates per
+/// shard, about 1.4 ms for an L2 worker applying ~23 M updates/s. Two
+/// slots keep the next chunk ready while the worker applies one; each
+/// extra slot, or each doubling of the chunk, adds to every consistent
+/// query's wait.
 pub(crate) const RING_CAPACITY: usize = 2;
 
 /// Pressure and throughput counters of the in-process runtime (cumulative
@@ -132,9 +135,9 @@ pub(crate) const RING_CAPACITY: usize = 2;
 /// plain coordinator-side integers, no atomics, no barrier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Chunks delivered to a shard ring.
+    /// Chunks delivered to a shard link.
     pub chunks: u64,
-    /// Times an ingest call found a ring full and had to park.
+    /// Times an ingest call found a link full and had to block.
     pub blocked: u64,
     /// Always 0: the runtime never spills a chunk to a coordinator-side
     /// queue. Kept only so existing stats reports keep their field.
@@ -144,8 +147,8 @@ pub struct RuntimeStats {
     pub snapshots: u64,
 }
 
-/// One command on a shard's ring. Coarse by design: the ring is crossed
-/// once per chunk, not once per update.
+/// One command on a shard's channel. Coarse by design: the channel is
+/// crossed once per chunk, not once per update.
 enum ShardCmd<U> {
     /// Feed a chunk of routed updates through the shard's batched ingest
     /// path. The buffer is recycled back to the coordinator once drained.
@@ -169,15 +172,15 @@ struct ShardPtr<S>(*mut S);
 unsafe impl<S: Send> Send for ShardPtr<S> {}
 
 /// The in-thread [`ShardLink`]: one persistent worker thread applying one
-/// shard's commands from an SPSC ring, with its own reply channel (see the
-/// module docs). The sampler type is erased into the worker at
-/// [`RingLink::start`]; `U` is the update type moving through the ring.
+/// shard's commands from a bounded channel, with its own reply channel
+/// (see the module docs). The sampler type is erased into the worker at
+/// [`RingLink::start`]; `U` is the update type moving through the link.
 /// Every barrier flushes; the publishing kinds also snapshot the shard. A
 /// ring link has no durable store, so the checkpoint kinds write nothing.
 pub struct RingLink<U: StreamUpdate = Item> {
     shard: usize,
-    /// `None` only inside `drop`, which closes the ring by dropping it.
-    commands: Option<Producer<ShardCmd<U>>>,
+    /// `None` only inside `drop`, which closes the channel by dropping it.
+    commands: Option<mpsc::SyncSender<ShardCmd<U>>>,
     replies: mpsc::Receiver<ShardReply<U>>,
     worker: Option<JoinHandle<()>>,
     /// Cleared ingest buffers handed back by the worker, returned by
@@ -188,7 +191,7 @@ pub struct RingLink<U: StreamUpdate = Item> {
 
 impl<U: StreamUpdate> RingLink<U> {
     /// Spawns the persistent worker for shard `shard`, the state behind
-    /// `ptr`, and wires it to a bounded ring of `RING_CAPACITY` slots.
+    /// `ptr`, and wires it to a bounded channel of `RING_CAPACITY` slots.
     ///
     /// # Safety
     ///
@@ -203,12 +206,12 @@ impl<U: StreamUpdate> RingLink<U> {
     where
         S: UpdateSampler<U> + Snapshot + Send + 'static,
     {
-        let (commands, ring) = spsc::ring::<ShardCmd<U>>(RING_CAPACITY);
+        let (commands, inbox) = mpsc::sync_channel(RING_CAPACITY);
         let (reply_tx, replies) = mpsc::channel();
         let ptr = ShardPtr(ptr);
         let worker = std::thread::Builder::new()
             .name(format!("tps-shard-{shard}"))
-            .spawn(move || worker_loop(ptr, ring, reply_tx))
+            .spawn(move || worker_loop(ptr, inbox, reply_tx))
             .expect("spawn shard worker");
         Self {
             shard,
@@ -225,33 +228,38 @@ impl<U: StreamUpdate> RingLink<U> {
         self.stats
     }
 
-    /// Enqueues `cmd`, parking while the ring is full; `true` when it had
-    /// to park.
+    /// The cleared chunk buffers this link holds for reuse.
+    pub(crate) fn free_buffers(&self) -> &[Vec<U>] {
+        &self.free
+    }
+
+    /// Enqueues `cmd`, blocking while the channel is full; `true` when it
+    /// had to block.
     fn push(&mut self, cmd: ShardCmd<U>) -> bool {
-        let commands = self.commands.as_mut().expect("ring open until drop");
-        // Fast path first so the parking events are observable.
-        match commands.try_push(cmd) {
+        let commands = self.commands.as_ref().expect("channel open until drop");
+        // Fast path first so the blocking events are observable.
+        match commands.try_send(cmd) {
             Ok(()) => false,
-            Err(PushError::Full(cmd)) => {
-                if commands.push(cmd).is_err() {
+            Err(mpsc::TrySendError::Full(cmd)) => {
+                if commands.send(cmd).is_err() {
                     self.worker_died();
                 }
                 true
             }
-            Err(PushError::Disconnected(_)) => self.worker_died(),
+            Err(mpsc::TrySendError::Disconnected(_)) => self.worker_died(),
         }
     }
 
     fn recycle(&mut self, buffer: Vec<U>) {
         // Bound the free list by the buffers that can be in use at once:
-        // one per ring slot, the worker's in-hand chunk, and the caller's
+        // one per channel slot, the worker's in-hand chunk, and the caller's
         // staging buffer. Any more would be dead capacity.
         if self.free.len() < RING_CAPACITY + 2 {
             self.free.push(buffer);
         }
     }
 
-    /// The worker's ring closed or its reply channel hung up before the
+    /// The worker's channel closed or its reply channel hung up before the
     /// link did: the only cause is a panic in the shard's own update path.
     /// Join it and re-raise the payload on the coordinator thread.
     fn worker_died(&mut self) -> ! {
@@ -299,9 +307,9 @@ impl<U: StreamUpdate> ShardLink<U> for RingLink<U> {
 
 impl<U: StreamUpdate> Drop for RingLink<U> {
     fn drop(&mut self) {
-        // Closing the ring is the shutdown signal: the worker drains what
-        // is already queued, then exits — drop is a graceful drain, not an
-        // abort.
+        // Closing the channel is the shutdown signal: the worker drains
+        // what is already queued, then exits — drop is a graceful drain,
+        // not an abort.
         self.commands = None;
         if let Some(Err(payload)) = self.worker.take().map(JoinHandle::join) {
             if !std::thread::panicking() {
@@ -311,17 +319,17 @@ impl<U: StreamUpdate> Drop for RingLink<U> {
     }
 }
 
-/// The worker body: apply commands from the ring in order until the
+/// The worker body: apply commands from the channel in order until the
 /// coordinator closes it, acknowledging barriers and recycling buffers.
 fn worker_loop<S, U>(
     ptr: ShardPtr<S>,
-    mut commands: Consumer<ShardCmd<U>>,
+    commands: mpsc::Receiver<ShardCmd<U>>,
     replies: mpsc::Sender<ShardReply<U>>,
 ) where
     S: UpdateSampler<U> + Snapshot + Send,
     U: StreamUpdate,
 {
-    while let Some(cmd) = commands.pop() {
+    while let Ok(cmd) = commands.recv() {
         let reply = match cmd {
             ShardCmd::Ingest(mut chunk) => {
                 // SAFETY: per `RingLink::start`'s contract this worker has
@@ -556,18 +564,29 @@ mod tests {
                 w.put_tag(Self::TAG);
             }
         }
+        let payload_of = |result: std::thread::Result<()>| {
+            let payload = result.expect_err("worker panic must propagate");
+            let message = payload.downcast_ref::<&str>().copied();
+            message.unwrap_or("<non-str payload>").to_owned()
+        };
+        // The barrier's ack finds the reply channel hung up.
         let result = std::panic::catch_unwind(|| {
             let mut shards = [Bomb];
             let mut links = links(&mut shards);
             links[0].ship(vec![1, 2, 3]).unwrap();
             let _ = barrier_all(&mut links, 1, BarrierKind::Sync);
         });
-        let payload = result.expect_err("worker panic must propagate");
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or("<non-str payload>");
-        assert_eq!(message, "boom");
+        assert_eq!(payload_of(result), "boom");
+        // Shipping on finds the command channel closed once the worker has
+        // unwound, and re-raises the worker's own payload.
+        let result = std::panic::catch_unwind(|| {
+            let mut shards = [Bomb];
+            let mut links = links(&mut shards);
+            loop {
+                links[0].ship(vec![1]).unwrap();
+            }
+        });
+        assert_eq!(payload_of(result), "boom");
     }
 
     /// A scripted link: `ack` returns its one canned reply.

@@ -5,7 +5,7 @@
 //! stream is partitioned, so the single-core ingest ceiling is not a system
 //! ceiling: [`ShardedSampler`] routes updates across `k` independent shard
 //! instances, feeds each shard's amortised batch path through one
-//! [`RingLink`] per shard (a long-lived thread behind a bounded SPSC ring —
+//! [`RingLink`] per shard (a long-lived thread behind a bounded channel —
 //! no per-batch spawn/join), and answers queries from snapshot-isolated
 //! cuts folded by [`fold_merge`].
 //!
@@ -150,14 +150,12 @@ pub fn fold_merge<S: MergeableSampler>(
 /// subsequent updates flow through it.
 const PARALLEL_MIN_PER_SHARD: usize = 4_096;
 
-/// Items staged per shard before a chunk is shipped to the shard's ring.
+/// Items staged per shard before a chunk is shipped to the shard's link.
 /// Fixed, not a knob; public read-only so benchmarks can slice work the
-/// way the runtime ships it. Coarse enough that ring crossings and reply
-/// traffic are amortised away, fine enough to bound the queue a barrier
-/// waits behind: with the ring's two slots plus the worker's in-hand chunk,
-/// a consistent query drains at most 3 × 8Ki shipped updates plus fewer
-/// than 8Ki staged ones per shard — about 1.4 ms for an L2 worker applying
-/// ~23 M updates/s. Each doubling of the chunk doubles that wait.
+/// way the runtime ships it. Coarse enough that channel crossings and
+/// reply traffic are amortised away, fine enough to bound the queue a
+/// barrier waits behind; `RING_CAPACITY` in [`crate::runtime`] derives
+/// that bound and what it costs a consistent query.
 pub const RUNTIME_CHUNK: usize = 8 * 1024;
 
 /// Named-setter construction for [`ShardedSampler`] — the front door that
@@ -334,6 +332,17 @@ impl<U: StreamUpdate> RuntimeState<U> {
         }
         barrier_all(&mut self.links, self.epoch, kind)
             .unwrap_or_else(|e| panic!("in-process barrier failed: {e}"))
+    }
+
+    /// Heap bytes of the chunk buffers this side holds: the staging
+    /// buffers and each link's recycled ones.
+    fn buffer_bytes(&self) -> usize {
+        let links = self.links.iter().flat_map(RingLink::free_buffers);
+        self.staging
+            .iter()
+            .chain(links)
+            .map(|b| b.capacity() * std::mem::size_of::<U>())
+            .sum()
     }
 
     fn stats(&self) -> RuntimeStats {
@@ -994,6 +1003,13 @@ where
 {
     fn space_bytes(&self) -> usize {
         self.quiesce();
+        let runtime_buffers = self.runtime.as_ref().map_or(0, |runtime| {
+            runtime
+                .lock()
+                .expect("runtime lock poisoned")
+                .buffer_bytes()
+        });
+        let cache = self.cache.as_ref().map_or(0, |c| c.value.space_bytes());
         std::mem::size_of::<Self>()
             + self
                 .shards
@@ -1006,6 +1022,8 @@ where
                 .iter()
                 .map(|b| b.capacity() * std::mem::size_of::<U>())
                 .sum::<usize>()
+            + runtime_buffers
+            + cache
     }
 }
 
@@ -1331,6 +1349,24 @@ mod tests {
         let stats = sampler.runtime_stats();
         assert!(stats.chunks > 0, "runtime ingest must count chunks");
         assert_eq!(stats.spilled, 0);
+    }
+
+    /// `space_bytes` counts all the heap the sampler owns: its shards, the
+    /// live runtime's chunk buffers and the query cache's merged sampler.
+    #[test]
+    fn space_bytes_counts_runtime_buffers_and_query_cache() {
+        let mut sampler = sharded_l2(2, ShardingStrategy::Hash, 29);
+        sampler.update_batch(&zipfish_stream(64 * 1024, 61));
+        let _ = sampler.query(&QueryOptions::consistent());
+        let shards: usize = (0..2).map(|j| sampler.shard(j).space_bytes()).sum();
+        let cache = sampler.cache.as_ref().expect("query fills the cache");
+        let chunk = RUNTIME_CHUNK * std::mem::size_of::<Item>();
+        let floor = shards + cache.value.space_bytes() + chunk;
+        let counted = sampler.space_bytes();
+        assert!(
+            counted >= floor,
+            "counted {counted} B, owns at least {floor} B"
+        );
     }
 
     /// A consistent `query()` is `merged()` by another name: same merged

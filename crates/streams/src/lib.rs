@@ -18,8 +18,6 @@
 //! * statistical utilities for comparing empirical sample distributions
 //!   against the exact target (total-variation distance, χ² statistics,
 //!   composition-bias measurements) ([`stats`]),
-//! * the bounded, blocking SPSC ring behind the persistent sharded
-//!   runtime in `tps-core` ([`spsc`]),
 //! * the framed coordinator↔worker control protocol of the cross-process
 //!   ingest service ([`wire`]),
 //! * the typed query surface — consistency levels, options, reply
@@ -40,7 +38,6 @@ pub mod merge;
 pub mod model;
 pub mod query;
 pub mod space;
-pub mod spsc;
 pub mod stats;
 pub mod update;
 pub mod wire;

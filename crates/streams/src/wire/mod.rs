@@ -2,7 +2,7 @@
 //! service (`tps-service`) — a **semi-public, versioned wire API**.
 //!
 //! The persistent runtime in `tps_core::runtime` moves chunks and barrier
-//! commands over in-memory SPSC rings; this module is the same command
+//! commands over bounded in-memory channels; this module is the same command
 //! vocabulary flattened onto a byte stream, so the "shard worker" can live
 //! in a different *process* — over its stdin/stdout pipes or a TCP socket
 //! (see [`transport`]) — while the coordinator keeps the exact

@@ -99,8 +99,8 @@ fn main() {
     //
     // The production shape: packets arrive far faster than one core can
     // absorb, so a hash-routed ShardedSampler spreads them over a pool of
-    // persistent workers (one long-lived thread per shard, fed by SPSC
-    // rings). The monitor keeps reporting while ingest runs: each periodic
+    // persistent workers (one long-lived thread per shard, fed by bounded
+    // channels). The monitor keeps reporting while ingest runs: each periodic
     // query makes the workers emit codec snapshots at a consistent cut,
     // and the merged answer is built off the hot path — ingest never
     // stops, and the live shards are never cloned.
