@@ -16,24 +16,21 @@
 //! never queues behind more than three chunks; [`RuntimeStats`] counts the
 //! blocked sends.
 //!
-//! ## Ownership and safety model
+//! ## Ownership
 //!
-//! The coordinator (e.g. [`crate::sharded::ShardedSampler`]) keeps owning
-//! its shard states; a ring link borrows one as a raw pointer for its
-//! worker, which is why [`RingLink::start`] is `unsafe`:
-//!
-//! * between `start` and the link's drop, the worker is the only code that
-//!   dereferences the pointer — **except** after the coordinator collected
-//!   a barrier's ack and before it sends the next command: the channel is
-//!   then empty and the worker blocked, so the coordinator may read (or,
-//!   with `&mut` access, mutate) the shard directly;
-//! * dropping the link closes the channel, lets the worker drain what is
-//!   already queued, and joins it. A worker that panics drops its reply
-//!   sender, so the next `ack` (or a `ship` into its closed channel) joins it
-//!   and re-raises the panic on the coordinator thread, as drop does.
+//! The coordinator (e.g. [`crate::sharded::ShardedSampler`]) and a ring
+//! link's worker share one shard state behind an `Arc<Mutex<S>>`. The
+//! worker locks it only to apply a chunk or to snapshot it for a
+//! publishing barrier, so a caller that holds a shard's guard can still
+//! run a [`BarrierKind::Sync`] barrier across every link; only a chunk or
+//! a publishing barrier for that shard waits for the guard.
+//! Dropping the link closes the channel, lets the worker drain what is
+//! already queued, and joins it. A worker that panics drops its reply
+//! sender, so the next `ack` (or a `ship` into its closed channel) joins it
+//! and re-raises the panic on the coordinator thread, as drop does.
 
 use std::io;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 use tps_streams::codec::Snapshot;
@@ -56,11 +53,6 @@ pub trait ShardLink<U> {
     /// Reads the next barrier ack: the epoch it acknowledges and the
     /// snapshot it carries, if any. [`collect_acks`] checks both.
     fn ack(&mut self) -> io::Result<(u64, Option<Vec<u8>>)>;
-}
-
-/// Whether an ack to a barrier of `kind` carries the shard's snapshot.
-fn publishes(kind: BarrierKind) -> bool {
-    matches!(kind, BarrierKind::Query | BarrierKind::CheckpointPublish)
 }
 
 /// The consistent-cut barrier: [`send_barrier`] then [`collect_acks`].
@@ -100,11 +92,11 @@ pub fn collect_acks<U, L: ShardLink<U>>(
     for (shard, link) in links.iter_mut().enumerate() {
         let wrong = match link.ack()? {
             (acked, _) if acked != epoch => format!("is for epoch {acked}"),
-            (_, Some(bytes)) if publishes(kind) => {
+            (_, Some(bytes)) if kind.publishes() => {
                 snapshots.push(bytes);
                 continue;
             }
-            (_, None) if !publishes(kind) => continue,
+            (_, None) if !kind.publishes() => continue,
             (_, Some(_)) => "carries a snapshot".into(),
             (_, None) => "lacks a snapshot".into(),
         };
@@ -166,11 +158,6 @@ enum ShardReply<U> {
     Ack(u64, Option<Vec<u8>>),
 }
 
-/// Sends a shard pointer into its worker thread. Safety is argued at the
-/// single place these are created, [`RingLink::start`].
-struct ShardPtr<S>(*mut S);
-unsafe impl<S: Send> Send for ShardPtr<S> {}
-
 /// The in-thread [`ShardLink`]: one persistent worker thread applying one
 /// shard's commands from a bounded channel, with its own reply channel
 /// (see the module docs). The sampler type is erased into the worker at
@@ -190,28 +177,18 @@ pub struct RingLink<U: StreamUpdate = Item> {
 }
 
 impl<U: StreamUpdate> RingLink<U> {
-    /// Spawns the persistent worker for shard `shard`, the state behind
-    /// `ptr`, and wires it to a bounded channel of `RING_CAPACITY` slots.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must stay valid and un-aliased for the link's whole lifetime:
-    /// until this `RingLink` is dropped, the pointee may only be accessed
-    /// (a) by the worker thread, and (b) by the caller *between* collecting
-    /// a barrier's ack and sending the link its next command. In
-    /// particular the pointee must not move or be freed while the link is
-    /// alive (the link joins its worker on drop, so dropping the link
-    /// before the pointee is sufficient).
-    pub unsafe fn start<S>(shard: usize, ptr: *mut S) -> Self
+    /// Spawns the persistent worker for shard `shard`, which applies its
+    /// commands to `state`, and wires it to a bounded channel of
+    /// `RING_CAPACITY` slots.
+    pub fn start<S>(shard: usize, state: Arc<Mutex<S>>) -> Self
     where
         S: UpdateSampler<U> + Snapshot + Send + 'static,
     {
         let (commands, inbox) = mpsc::sync_channel(RING_CAPACITY);
         let (reply_tx, replies) = mpsc::channel();
-        let ptr = ShardPtr(ptr);
         let worker = std::thread::Builder::new()
             .name(format!("tps-shard-{shard}"))
-            .spawn(move || worker_loop(ptr, inbox, reply_tx))
+            .spawn(move || worker_loop(&state, inbox, reply_tx))
             .expect("spawn shard worker");
         Self {
             shard,
@@ -321,30 +298,25 @@ impl<U: StreamUpdate> Drop for RingLink<U> {
 
 /// The worker body: apply commands from the channel in order until the
 /// coordinator closes it, acknowledging barriers and recycling buffers.
+/// The shard is locked only for the commands that touch it.
 fn worker_loop<S, U>(
-    ptr: ShardPtr<S>,
+    state: &Mutex<S>,
     commands: mpsc::Receiver<ShardCmd<U>>,
     replies: mpsc::Sender<ShardReply<U>>,
 ) where
     S: UpdateSampler<U> + Snapshot + Send,
     U: StreamUpdate,
 {
+    let lock = || state.lock().expect("shard lock poisoned");
     while let Ok(cmd) = commands.recv() {
         let reply = match cmd {
             ShardCmd::Ingest(mut chunk) => {
-                // SAFETY: per `RingLink::start`'s contract this worker has
-                // exclusive access to the pointee while commands are in
-                // flight.
-                unsafe { (*ptr.0).ingest_batch(&chunk) };
+                lock().ingest_batch(&chunk);
                 chunk.clear();
                 ShardReply::Recycled(chunk)
             }
             ShardCmd::Barrier { epoch, kind } => {
-                // SAFETY: as above; `snapshot` only needs `&S`.
-                ShardReply::Ack(
-                    epoch,
-                    publishes(kind).then(|| unsafe { (*ptr.0).snapshot() }),
-                )
+                ShardReply::Ack(epoch, kind.publishes().then(|| lock().snapshot()))
             }
         };
         let _ = replies.send(reply);
@@ -373,16 +345,16 @@ mod tests {
             .collect()
     }
 
-    fn links<S>(shards: &mut [S]) -> Vec<RingLink>
+    /// Shares each shard behind a mutex and starts one ring link on it.
+    fn links<S>(shards: impl IntoIterator<Item = S>) -> (Vec<Arc<Mutex<S>>>, Vec<RingLink>)
     where
         S: UpdateSampler<Item> + Snapshot + Send + 'static,
     {
-        shards
-            .iter_mut()
-            .enumerate()
-            // SAFETY: every caller drops the links before the shards.
-            .map(|(j, s)| unsafe { RingLink::start(j, s as *mut S) })
-            .collect()
+        let shards: Vec<_> = shards.into_iter().map(Mutex::new).map(Arc::new).collect();
+        let links = (0..shards.len())
+            .map(|j| RingLink::start(j, Arc::clone(&shards[j])))
+            .collect();
+        (shards, links)
     }
 
     /// An Lp shard whose batched path first sleeps 20 ms, so a burst of
@@ -414,10 +386,9 @@ mod tests {
     /// when slow shards fill their rings and the sender has to block.
     #[test]
     fn ring_ingest_matches_direct_ingest() {
-        let mut via_links: Vec<SlowLp> = samplers(3, 9).into_iter().map(SlowLp).collect();
+        let (via_links, mut links) = links(samplers(3, 9).into_iter().map(SlowLp));
         let mut direct = samplers(3, 9);
         let items = stream(30_000);
-        let mut links = links(&mut via_links);
         // 20 chunks per shard against a `RING_CAPACITY`-slot ring: the
         // sender must park.
         let mut buffer = Vec::new();
@@ -439,7 +410,7 @@ mod tests {
         );
         assert_eq!(stats.iter().map(|s| s.chunks).sum::<u64>(), 60);
         for (a, b) in via_links.iter().zip(&direct) {
-            assert_eq!(a.snapshot(), b.snapshot());
+            assert_eq!(a.lock().unwrap().snapshot(), b.snapshot());
         }
     }
 
@@ -484,12 +455,11 @@ mod tests {
         let bound = RING_CAPACITY as u64 + 1;
         let applied = Arc::new(AtomicU64::new(0));
         let (grant, permits) = mpsc::channel();
-        let mut shards = [GatedLp {
+        let (_shards, mut links) = links([GatedLp {
             inner: samplers(1, 6).remove(0),
             permits,
             applied: Arc::clone(&applied),
-        }];
-        let mut links = links(&mut shards);
+        }]);
         // Declared after the links, so a failing assertion drops the grant
         // (releasing the worker) before the links join it.
         let grant = grant;
@@ -516,22 +486,19 @@ mod tests {
     /// after the barrier is excluded.
     #[test]
     fn snapshot_barrier_cuts_between_chunks() {
-        let mut shards = samplers(2, 4);
+        let (shards, mut links) = links(samplers(2, 4));
         let mut reference = samplers(2, 4);
         let prefix = stream(8_000);
         let suffix: Vec<Item> = stream(8_000).into_iter().map(|x| x + 1).collect();
-        let cut_bytes;
-        {
-            let mut links = links(&mut shards);
-            for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
-                links[j].ship(half.to_vec()).unwrap();
-            }
-            cut_bytes = barrier_all(&mut links, 1, BarrierKind::Query).unwrap();
-            for (j, half) in suffix.chunks(suffix.len() / 2).enumerate() {
-                links[j].ship(half.to_vec()).unwrap();
-            }
-            barrier_all(&mut links, 2, BarrierKind::Sync).unwrap();
+        for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
+            links[j].ship(half.to_vec()).unwrap();
         }
+        let cut_bytes = barrier_all(&mut links, 1, BarrierKind::Query).unwrap();
+        for (j, half) in suffix.chunks(suffix.len() / 2).enumerate() {
+            links[j].ship(half.to_vec()).unwrap();
+        }
+        barrier_all(&mut links, 2, BarrierKind::Sync).unwrap();
+        drop(links);
         for (j, half) in prefix.chunks(prefix.len() / 2).enumerate() {
             reference[j].update_batch(half);
         }
@@ -543,7 +510,8 @@ mod tests {
         // And the post-barrier suffix did land (drop = graceful drain).
         for (j, half) in suffix.chunks(suffix.len() / 2).enumerate() {
             reference[j].update_batch(half);
-            assert_eq!(shards[j].snapshot(), reference[j].snapshot());
+            let shard = shards[j].lock().unwrap();
+            assert_eq!(shard.snapshot(), reference[j].snapshot());
         }
     }
 
@@ -571,8 +539,7 @@ mod tests {
         };
         // The barrier's ack finds the reply channel hung up.
         let result = std::panic::catch_unwind(|| {
-            let mut shards = [Bomb];
-            let mut links = links(&mut shards);
+            let (_shards, mut links) = links([Bomb]);
             links[0].ship(vec![1, 2, 3]).unwrap();
             let _ = barrier_all(&mut links, 1, BarrierKind::Sync);
         });
@@ -580,8 +547,7 @@ mod tests {
         // Shipping on finds the command channel closed once the worker has
         // unwound, and re-raises the worker's own payload.
         let result = std::panic::catch_unwind(|| {
-            let mut shards = [Bomb];
-            let mut links = links(&mut shards);
+            let (_shards, mut links) = links([Bomb]);
             loop {
                 links[0].ship(vec![1]).unwrap();
             }

@@ -53,9 +53,9 @@
 //! coordinator memory stays bounded. [`ShardedSampler::runtime_stats`]
 //! counts how often ingest had to block.
 
-use std::cell::UnsafeCell;
 use std::io;
-use std::sync::Mutex;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::runtime::{barrier_all, RingLink, RuntimeStats, ShardLink};
 use tps_random::{StreamRng, Xoshiro256};
@@ -266,9 +266,7 @@ impl ShardedSamplerBuilder {
     ) -> ShardedSampler<S, U> {
         ShardedSampler {
             runtime: None,
-            shards: (0..self.shards)
-                .map(|idx| UnsafeCell::new(factory(idx)))
-                .collect(),
+            shards: (0..self.shards).map(|idx| shared(factory(idx))).collect(),
             strategy: self.strategy,
             cursor: 0,
             scratch: Vec::new(),
@@ -303,9 +301,9 @@ struct MergedCache<S> {
 }
 
 /// The live half of the runtime: one ring link per shard plus the
-/// per-shard staging buffers of routed-but-unshipped items. Boxed behind a
+/// per-shard staging buffers of routed-but-unshipped items. Behind a
 /// `Mutex` so `&self` accessors can quiesce (ship + flush) through
-/// interior mutability while `ShardedSampler` stays `Send`.
+/// interior mutability.
 struct RuntimeState<U: StreamUpdate> {
     links: Vec<RingLink<U>>,
     staging: Vec<Vec<U>>,
@@ -369,15 +367,10 @@ impl<U: StreamUpdate> RuntimeState<U> {
 /// worker-pool and fold-merge plumbing is written once against
 /// [`StreamUpdate`]/[`UpdateSampler`] and shared by both instantiations.
 pub struct ShardedSampler<S, U: StreamUpdate = Item> {
-    /// Declared first so drop order joins the workers *before* the shard
-    /// states they point into are dropped.
     runtime: Option<Mutex<RuntimeState<U>>>,
-    /// Owned shard states. `UnsafeCell` because, while the runtime is
-    /// live, worker `j` mutates shard `j` through a raw pointer; the
-    /// coordinator only touches a shard after a completed barrier (see
-    /// [`RingLink::start`]'s contract). Boxed slice: the
-    /// allocation must never move while workers hold pointers into it.
-    shards: Box<[UnsafeCell<S>]>,
+    /// Shard states, each shared with its ring link's worker while the
+    /// runtime is live.
+    shards: Vec<Arc<Mutex<S>>>,
     strategy: ShardingStrategy,
     /// Round-robin cursor: the shard the next update is routed to.
     cursor: usize,
@@ -403,11 +396,15 @@ pub struct ShardedSampler<S, U: StreamUpdate = Item> {
     cache_stats: QueryCacheStats,
 }
 
-// `UnsafeCell` suppresses auto-`Send`; shipping the whole front-end to
-// another thread is still fine: the boxed slice's allocation (which the
-// workers point into) does not move, and `&mut`/owned access to the
-// coordinator half is unique by construction.
-unsafe impl<S: Send, U: StreamUpdate> Send for ShardedSampler<S, U> {}
+fn shared<S>(shard: S) -> Arc<Mutex<S>> {
+    Arc::new(Mutex::new(shard))
+}
+
+/// Locks a shard or the runtime. A shard worker's panic poisons both: the
+/// shard it was applying a chunk to, and the runtime it is re-raised under.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("shard worker panicked")
+}
 
 impl<S, U> ShardedSampler<S, U>
 where
@@ -457,7 +454,7 @@ where
     /// started; reset when it restarts (clone, restore).
     pub fn runtime_stats(&self) -> RuntimeStats {
         match &self.runtime {
-            Some(runtime) => runtime.lock().unwrap().stats(),
+            Some(runtime) => lock(runtime).stats(),
             None => RuntimeStats::default(),
         }
     }
@@ -471,12 +468,13 @@ where
 
     /// Read access to one shard (diagnostics and tests). Quiesces the
     /// runtime first, so the view includes every update routed so far.
-    pub fn shard(&self, idx: usize) -> &S {
+    /// The returned guard holds the shard's lock: while it lives, call no
+    /// other accessor that reads the same shard (`shard(idx)` again,
+    /// `clone`, `snapshot`, `space_bytes`, `{:?}`), or it deadlocks.
+    /// Guards of different shards may be held together.
+    pub fn shard(&self, idx: usize) -> impl Deref<Target = S> + '_ {
         self.quiesce();
-        // SAFETY: after `quiesce` all rings are empty and every worker is
-        // parked; the returned shared borrow keeps `&self` alive, and all
-        // command-issuing methods require `&mut self`.
-        unsafe { &*self.shards[idx].get() }
+        lock(&self.shards[idx])
     }
 
     /// The shard index an item is routed to under [`ShardingStrategy::Hash`].
@@ -485,20 +483,20 @@ where
         route(mix(item), self.shards.len())
     }
 
-    /// Ships staged chunks and waits for every worker to go idle. After
-    /// this returns (and until the next command is sent), the coordinator
-    /// may access shard states directly.
+    /// Ships staged chunks and waits for every worker to apply them, so
+    /// shard reads observe every update routed so far.
     fn quiesce(&self) {
         if let Some(runtime) = &self.runtime {
-            runtime.lock().unwrap().barrier(BarrierKind::Sync);
+            lock(runtime).barrier(BarrierKind::Sync);
         }
     }
 
-    /// Direct mutable access to one shard; only sound while the runtime is
-    /// not live or fully quiesced.
+    /// Lock-free access to one shard while no runtime shares it.
     fn shard_mut(&mut self, idx: usize) -> &mut S {
-        debug_assert!(self.runtime.is_none(), "direct access requires no runtime");
-        self.shards[idx].get_mut()
+        Arc::get_mut(&mut self.shards[idx])
+            .expect("no runtime shares the shard")
+            .get_mut()
+            .expect("shard worker panicked")
     }
 
     /// Starts one ring link per shard over the current shard states.
@@ -508,14 +506,7 @@ where
             .shards
             .iter()
             .enumerate()
-            // SAFETY: the pointers target the boxed slice owned by `self`,
-            // which is never resized and outlives the links (`runtime` is
-            // declared before `shards`, so the links join their workers
-            // first on drop; `Self` is only movable as a whole, which does
-            // not move the boxed allocation). Coordinator-side access to the
-            // pointees only happens behind `quiesce()` barriers, per the
-            // contract.
-            .map(|(shard, cell)| unsafe { RingLink::start(shard, cell.get()) })
+            .map(|(shard, state)| RingLink::start(shard, Arc::clone(state)))
             .collect();
         self.runtime = Some(Mutex::new(RuntimeState {
             links,
@@ -643,8 +634,7 @@ where
                 fold_merge(records.iter().map(restore), &mut self.rng)
             }
             None => {
-                // SAFETY: no runtime is live, so no worker touches a shard.
-                let clone = |cell: &UnsafeCell<S>| unsafe { &*cell.get() }.clone();
+                let clone = |state: &Arc<Mutex<S>>| lock(state).clone();
                 fold_merge(self.shards.iter().map(clone), &mut self.rng)
             }
         };
@@ -804,7 +794,7 @@ where
             shards: self
                 .shards
                 .iter()
-                .map(|cell| UnsafeCell::new(unsafe { &*cell.get() }.clone()))
+                .map(|s| shared(lock(s).clone()))
                 .collect(),
             strategy: self.strategy,
             cursor: self.cursor,
@@ -833,12 +823,7 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.quiesce();
-        let shards: Vec<&S> = self
-            .shards
-            .iter()
-            // SAFETY: quiesced above; see `Self::shard`.
-            .map(|cell| unsafe { &*cell.get() })
-            .collect();
+        let shards: Vec<_> = self.shards.iter().map(|s| lock(s)).collect();
         f.debug_struct("ShardedSampler")
             .field("strategy", &self.strategy)
             .field("cursor", &self.cursor)
@@ -896,9 +881,8 @@ where
         w.put_u64(self.processed);
         self.rng.encode_into(w);
         w.put_len(self.shards.len());
-        for cell in &self.shards {
-            // SAFETY: quiesced above; see `Self::shard`.
-            unsafe { &*cell.get() }.encode_into(w);
+        for shard in &self.shards {
+            lock(shard).encode_into(w);
         }
     }
 }
@@ -972,7 +956,7 @@ where
         }
         Ok(Self {
             runtime: None,
-            shards: shards.into_iter().map(UnsafeCell::new).collect(),
+            shards: shards.into_iter().map(shared).collect(),
             strategy,
             cursor,
             // Sized lazily by the first sequential batch — never inside
@@ -1003,19 +987,16 @@ where
 {
     fn space_bytes(&self) -> usize {
         self.quiesce();
-        let runtime_buffers = self.runtime.as_ref().map_or(0, |runtime| {
-            runtime
-                .lock()
-                .expect("runtime lock poisoned")
-                .buffer_bytes()
-        });
+        let runtime_buffers = self
+            .runtime
+            .as_ref()
+            .map_or(0, |runtime| lock(runtime).buffer_bytes());
         let cache = self.cache.as_ref().map_or(0, |c| c.value.space_bytes());
         std::mem::size_of::<Self>()
             + self
                 .shards
                 .iter()
-                // SAFETY: quiesced above; see `Self::shard`.
-                .map(|cell| unsafe { &*cell.get() }.space_bytes())
+                .map(|s| lock(s).space_bytes())
                 .sum::<usize>()
             + self
                 .scratch
@@ -1367,6 +1348,73 @@ mod tests {
             counted >= floor,
             "counted {counted} B, owns at least {floor} B"
         );
+    }
+
+    /// Guards of two shards can be held together on a live runtime: the
+    /// second `shard` call quiesces through a `Sync` barrier, which no
+    /// worker answers under its shard's lock. On its own thread, so a
+    /// deadlock fails the test instead of hanging it.
+    #[test]
+    fn guards_of_two_shards_do_not_deadlock() {
+        let (done, sum) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let mut sampler = sharded_l2(2, ShardingStrategy::Hash, 41);
+            sampler.update_batch(&zipfish_stream(2 * PARALLEL_MIN_PER_SHARD, 61));
+            assert!(sampler.runtime_active());
+            let (a, b) = (sampler.shard(0), sampler.shard(1));
+            done.send(a.processed() + b.processed()).unwrap();
+        });
+        let sum = sum.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(sum, Ok(2 * PARALLEL_MIN_PER_SHARD as u64));
+        reader.join().unwrap();
+    }
+
+    /// A panic in one shard's update path, hit on its worker thread,
+    /// re-raises through `flush` with the worker's own payload, not a
+    /// poisoned-lock message, and the sampler still drops cleanly.
+    #[test]
+    fn shard_panic_surfaces_through_flush() {
+        /// Panics on every update when armed.
+        #[derive(Clone)]
+        struct Bomb(bool);
+        impl StreamSampler for Bomb {
+            fn update(&mut self, _item: Item) {
+                assert!(!self.0, "boom");
+            }
+            fn sample(&mut self) -> SampleOutcome {
+                SampleOutcome::Empty
+            }
+        }
+        impl MergeableSampler for Bomb {
+            fn merge(self, _other: Self, _rng: &mut dyn StreamRng) -> Self {
+                self
+            }
+            fn merge_compatible(&self, _other: &Self) -> bool {
+                true
+            }
+        }
+        impl Snapshot for Bomb {
+            const TAG: u16 = 0xFFFF;
+            fn encode_into(&self, w: &mut SnapshotWriter) {
+                w.put_tag(Self::TAG);
+            }
+        }
+        impl Restore for Bomb {
+            fn decode_from(r: &mut SnapshotReader<'_>) -> Result<Self, CodecError> {
+                r.expect_tag(Self::TAG).map(|()| Self(false))
+            }
+        }
+        let mut sampler = ShardedSamplerBuilder::new(2)
+            .strategy(ShardingStrategy::RoundRobin)
+            .build(|idx| Bomb(idx == 0));
+        // Starts the runtime but stages less than a chunk per shard, so
+        // shard 0's worker first sees an update inside `flush`.
+        sampler.update_batch(&zipfish_stream(2 * PARALLEL_MIN_PER_SHARD, 61));
+        assert!(sampler.runtime_active());
+        let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sampler.flush()));
+        let payload = flushed.expect_err("the worker's panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom"));
+        drop(sampler);
     }
 
     /// A consistent `query()` is `merged()` by another name: same merged

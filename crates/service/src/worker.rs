@@ -145,28 +145,22 @@ where
     while let Some(msg) = conn.recv().map_err(wire_to_io)? {
         match msg {
             WireMessage::Barrier { epoch, kind } => {
-                let snapshot = match kind {
-                    BarrierKind::Checkpoint | BarrierKind::CheckpointPublish => {
-                        let frame = checkpointer.checkpoint(&sampler, epoch);
-                        store.append_frame(frame.bytes())?;
-                        if !frame.is_delta() {
-                            // The checkpointer rebased: everything before
-                            // this full frame is unreachable — collect it.
-                            store.compact()?;
-                        }
-                        // A *publishing* checkpoint also acks the full
-                        // snapshot: one barrier round feeds both the
-                        // durable chain and the coordinator's snapshot
-                        // cache.
-                        (kind == BarrierKind::CheckpointPublish).then(|| sampler.snapshot())
+                if let BarrierKind::Checkpoint | BarrierKind::CheckpointPublish = kind {
+                    let frame = checkpointer.checkpoint(&sampler, epoch);
+                    store.append_frame(frame.bytes())?;
+                    if !frame.is_delta() {
+                        // The checkpointer rebased: everything before this
+                        // full frame is unreachable — collect it.
+                        store.compact()?;
                     }
-                    BarrierKind::Query => Some(sampler.snapshot()),
-                    BarrierKind::Sync => None,
-                };
+                }
+                // A publishing checkpoint acks the full snapshot too: one
+                // barrier round feeds both the durable chain and the
+                // coordinator's snapshot cache.
                 conn.send(&WireMessage::BarrierAck {
                     shard: cfg.shard as u64,
                     epoch,
-                    snapshot,
+                    snapshot: kind.publishes().then(|| sampler.snapshot()),
                 })?;
             }
             WireMessage::Shutdown => return Ok(true),

@@ -185,6 +185,15 @@ pub enum BarrierKind {
     Sync,
 }
 
+impl BarrierKind {
+    /// Whether the ack to a barrier of this kind carries the shard's
+    /// sealed snapshot: only [`Self::Query`] and [`Self::CheckpointPublish`]
+    /// publish one.
+    pub fn publishes(self) -> bool {
+        matches!(self, Self::Query | Self::CheckpointPublish)
+    }
+}
+
 /// One control message of the coordinator↔worker protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMessage {
