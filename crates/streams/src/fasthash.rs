@@ -1,8 +1,9 @@
 //! A fast non-cryptographic hasher for the engine's internal maps.
 //!
-//! The hot path of every sampler is one or two hash-map touches per stream
-//! update (the shared suffix-count table, the Misra–Gries counters), and
-//! `std`'s default SipHash costs more than the rest of the update combined.
+//! The hot path of every sampler touches a hash map on each stream update
+//! (the shared suffix-count table), and `std`'s default SipHash costs more
+//! than the rest of the update combined. (The Misra–Gries counters keep a
+//! flat open-addressing table of their own and use no hash map.)
 //! Keys in those maps are attacker-independent `u64` coordinates already
 //! drawn from the stream, so a multiply–xor mixer (the finalizer of
 //! splitmix64, which passes avalanche tests) is sufficient and several

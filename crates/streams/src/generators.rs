@@ -85,6 +85,14 @@ impl Zipf {
     }
 
     /// Draws one item, consuming exactly one `next_f64` from `rng`.
+    ///
+    /// Never inlined, so stream generation costs the same whatever else
+    /// the linking binary contains: left to thin LTO, the call was inlined
+    /// into [`zipfian_stream`] in some builds and not in others. Timed on
+    /// `job_stream(4096, 1 << 24, _)` over 5 interleaved rounds of 3 seeds
+    /// each (2-core x86-64), out of line took 0.35–0.43 s and `#[inline]`
+    /// 0.39–0.47 s.
+    #[inline(never)]
     pub fn draw<R: StreamRng>(&self, rng: &mut R) -> Item {
         let target = rng.next_f64() * self.total;
         let last = self.cdf.len() - 1;

@@ -42,7 +42,7 @@ use tps_sketches::{
 };
 use tps_streams::codec::{self, peek_version, CodecError, Restore, Snapshot, FORMAT_VERSION};
 use tps_streams::{
-    Estimator, Huber, Item, Lp, SignedUpdate, SlidingWindowSampler, StreamSampler,
+    Estimator, Huber, Item, Lp, SignedUpdate, SlidingWindowSampler, SpaceUsage, StreamSampler,
     TurnstileSampler, L1L2,
 };
 
@@ -463,6 +463,45 @@ fn crafted_snapshots_never_panic_or_overallocate() {
         .expect("oversized capacity is legal state");
     assert_eq!(huge_mg.capacity(), 1 << 60);
     assert_eq!(huge_mg.estimate(7), 0);
+
+    // The same absurd budget holding two counters: the flat counter table
+    // is sized from the pairs, and grows from there as updates insert.
+    let mut w = SnapshotWriter::new();
+    w.put_tag(tag::MISRA_GRIES);
+    w.put_usize(usize::MAX / 2); // capacity
+    w.put_u64(10); // processed
+    w.put_u64(0); // decrements
+    w.put_u64(2); // counter count
+    w.put_u64(3);
+    w.put_u64(4);
+    w.put_u64(9);
+    w.put_u64(6);
+    let mut huge_mg = MisraGries::restore(&seal(tag::MISRA_GRIES, &w.into_bytes()))
+        .expect("oversized capacity is legal state");
+    assert!(huge_mg.space_bytes() < 4096, "table sized from capacity");
+    huge_mg.update_batch(&(0..100).collect::<Vec<Item>>());
+    assert_eq!(huge_mg.processed(), 110);
+    assert_eq!(huge_mg.estimate(3), 5);
+    assert_eq!(huge_mg.estimate(9), 7);
+    assert_eq!(huge_mg.estimate(50), 1);
+    assert!(
+        huge_mg.space_bytes() < 16 * 4096,
+        "table outgrew its counters"
+    );
+
+    // A counter whose level `count + decrements` overflows u64.
+    let mut w = SnapshotWriter::new();
+    w.put_tag(tag::MISRA_GRIES);
+    w.put_u64(4); // capacity
+    w.put_u64(u64::MAX); // processed
+    w.put_u64(u64::MAX - 1); // decrements
+    w.put_u64(1); // counter count
+    w.put_u64(7);
+    w.put_u64(2);
+    assert!(matches!(
+        MisraGries::restore(&seal(tag::MISRA_GRIES, &w.into_bytes())),
+        Err(CodecError::InvalidValue { .. })
+    ));
 
     // Same shape for SpaceSaving.
     let mut w = SnapshotWriter::new();
