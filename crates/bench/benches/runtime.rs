@@ -1,6 +1,6 @@
 //! E13 benchmark: the persistent sharded runtime under its steady-state
 //! shape — a long stream arriving in batches — plus the cost of
-//! snapshot-isolated queries issued mid-ingest.
+//! consistent queries issued mid-ingest.
 //!
 //! Three groups:
 //!
@@ -8,12 +8,13 @@
 //!   pool at several shard counts, against a re-implementation of the
 //!   retired scoped-thread two-phase path that pays a spawn/join round
 //!   trip per batch (the architecture the runtime replaced).
-//! * `e13_query_during_ingest` — the same feed with a snapshot-isolated
+//! * `e13_query_during_ingest` — the same feed with a consistent
 //!   `sample()` every 8 batches; the gap to the query-free group is the
 //!   price of queries on the ingest path.
-//! * `e13_query_latency` — one query on a built-up state: the runtime's
-//!   barrier + per-shard snapshot + restore + fold-merge against the
-//!   retired deep-clone + fold-merge on an identical quiesced clone.
+//! * `e13_query_latency` — one query on a built-up, drained state: the
+//!   live runtime's barrier + clone + fold-merge (id `snapshot_isolated`,
+//!   kept from when it also snapshot and restored every shard) against
+//!   clone + fold-merge on an identical detached clone.
 //!
 //! Every timed closure that feeds the runtime ends with `flush()`:
 //! `update_batch` returns once the batch is *enqueued*, so the wall clock
@@ -169,14 +170,14 @@ fn bench_query_latency(c: &mut Criterion) {
     let stream = zipfian_stream(&mut rng, 4_096, 1_000_000, 1.1);
 
     // Built-up runtime state, drained: the measured query is the
-    // barrier/snapshot/merge machinery itself, not a backlog flush.
+    // barrier/clone/merge machinery itself, not a backlog flush.
     let mut live = new_sharded(4);
     live.update_batch(&stream);
     live.flush();
     group.bench_function("snapshot_isolated", |b| b.iter(|| live.sample().is_index()));
 
-    // The retired path on identical state: `clone()` detaches from the
-    // runtime, so `merged()` is the old deep-clone + fold-merge + draw.
+    // The same fold on identical state without the barrier: `clone()`
+    // detaches from the runtime, so `merged()` is clone + fold + draw.
     let mut detached = live.clone();
     group.bench_function("clone_and_merge", |b| {
         b.iter(|| detached.merged().sample().is_index())

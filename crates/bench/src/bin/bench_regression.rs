@@ -20,8 +20,9 @@
 //!
 //! * persistent-runtime ingest must stay ≥ 0.95× the retired scoped-thread
 //!   path at the acceptance shard count (4, or the largest measured);
-//! * ingest throughput with periodic snapshot-isolated queries must stay
-//!   ≥ 0.9× the query-free run (the "queries are off the hot path" bar).
+//! * ingest throughput with a periodic consistent query (barrier, clone,
+//!   fold-merge) must stay ≥ 0.9× the query-free run (the "queries cost
+//!   little ingest" bar).
 //!
 //! ```text
 //! bench_regression --baseline BENCH_baseline.json --report report.json \

@@ -208,7 +208,7 @@ fn print_runtime(report: &exp::RuntimeReport) {
         report.querying_vs_quiet
     );
     println!(
-        "query latency                    : {:.1} us snapshot-isolated vs {:.1} us clone-and-merge",
+        "query latency                    : {:.1} us consistent cut vs {:.1} us with no backlog",
         report.snapshot_query_micros, report.clone_merge_query_micros
     );
 }

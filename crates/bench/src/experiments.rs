@@ -917,18 +917,21 @@ pub struct RuntimeReport {
     pub query_every_batches: usize,
     /// Ingest throughput of the query-free reference run (Melem/s).
     pub quiet_melem_per_s: f64,
-    /// Ingest throughput with a snapshot-isolated query issued every
+    /// Ingest throughput with a consistent query issued every
     /// `query_every_batches` batches, query time *included* in the wall
     /// clock (Melem/s).
     pub querying_melem_per_s: f64,
     /// `querying / quiet` — the acceptance bar asks ≥ 0.9 (queries cost
     /// at most 10% of ingest throughput).
     pub querying_vs_quiet: f64,
-    /// Mean latency of one snapshot-isolated query on the live runtime
-    /// (barrier + per-shard snapshot + restore + fold-merge + draw), µs.
+    /// Mean latency of one consistent query on the live runtime, µs: a
+    /// consistent cut (barrier drain of the in-flight backlog, clone of
+    /// every shard, fold-merge) plus the draw. The field name predates
+    /// in-process queries dropping the per-shard snapshot and restore.
     pub snapshot_query_micros: f64,
-    /// Mean latency of the retired clone-and-merge query (deep-clone every
-    /// shard, fold-merge, draw) on the same final state, µs.
+    /// Mean latency of the same query without a backlog (clone every
+    /// shard of a quiesced, detached copy, fold-merge, draw) on the same
+    /// final state, µs: the cut's cost with nothing left to drain.
     pub clone_merge_query_micros: f64,
 }
 
@@ -984,8 +987,8 @@ fn scoped_two_phase_ingest(shards: &mut [TrulyPerfectLpSampler], batch: &[u64]) 
 }
 
 /// E13: steady-state ingest of the persistent sharded runtime vs the
-/// retired scoped-thread path, plus the cost of snapshot-isolated queries
-/// issued mid-ingest. Streams are fed in `batch_len`-sized batches (the
+/// retired scoped-thread path, plus the cost of consistent queries
+/// (barrier + clone + fold-merge) issued mid-ingest. Streams are fed in `batch_len`-sized batches (the
 /// steady-state shape the runtime is built for, as opposed to E12's one
 /// monolithic batch); both legs of every comparison run on the same host
 /// within the same call, so the recorded *ratios* transfer across runners.
@@ -1083,9 +1086,9 @@ pub fn e13_runtime(stream_length: usize, universe: u64, shard_counts: &[usize]) 
         let rate = stream.len() as f64 / start.elapsed().as_secs_f64() / 1e6;
         best_querying = best_querying.max(rate);
 
-        // The retired query path on the same final state: `clone()`
-        // quiesces and detaches from the runtime, so `merged()` on the
-        // clone is exactly the old deep-clone + fold-merge + draw.
+        // The reference leg on the same final state: `clone()` quiesces
+        // and detaches from the runtime, so `merged()` on the clone is the
+        // live query's clone + fold-merge + draw with no backlog to drain.
         let mut reference = querying.clone();
         for _ in 0..query_every_batches {
             let query_start = Instant::now();

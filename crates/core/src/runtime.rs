@@ -3,11 +3,15 @@
 //! A truly perfect sampler's answer at a query point must be exactly the
 //! reference merge at that cut. Both stacks reach that cut the same way:
 //! ship routed chunks to `k` shard owners, each a [`ShardLink`], then
-//! [`barrier_all`]. A [`BarrierKind::Query`] barrier makes every owner
-//! emit its shard's sealed snapshot *in-band* — after everything shipped
-//! before the barrier, before anything after it — so the `k` records form
-//! a consistent cut, which the caller restores and folds with
-//! [`crate::sharded::fold_merge`]. The ingest service implements the link
+//! [`barrier_all`], and fold the `k` shard states with
+//! [`crate::sharded::fold_merge`]. The ingest service, whose shards live
+//! in other processes, sends a [`BarrierKind::Query`] barrier: every owner
+//! emits its shard's sealed snapshot *in-band* — after everything shipped
+//! before the barrier, before anything after it — and the coordinator
+//! restores the `k` records before it folds. In-process,
+//! [`crate::sharded::ShardedSampler`] needs only a [`BarrierKind::Sync`]
+//! barrier: the shard states are in its own memory, so once every worker
+//! has acked it folds clones of them. The service implements the link
 //! over a wire connection; this module's [`RingLink`] implements it with
 //! one long-lived worker thread per shard, fed by a bounded
 //! [`mpsc::sync_channel`] of `RING_CAPACITY` (two) slots for chunks and
@@ -134,9 +138,6 @@ pub struct RuntimeStats {
     /// Always 0: the runtime never spills a chunk to a coordinator-side
     /// queue. Kept only so existing stats reports keep their field.
     pub spilled: u64,
-    /// Snapshot barriers completed — each one is a consistent-cut query
-    /// the runtime served by serialising every shard in-band.
-    pub snapshots: u64,
 }
 
 /// One command on a shard's channel. Coarse by design: the channel is

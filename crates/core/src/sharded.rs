@@ -6,8 +6,8 @@
 //! ceiling: [`ShardedSampler`] routes updates across `k` independent shard
 //! instances, feeds each shard's amortised batch path through one
 //! [`RingLink`] per shard (a long-lived thread behind a bounded channel —
-//! no per-batch spawn/join), and answers queries from snapshot-isolated
-//! cuts folded by [`fold_merge`].
+//! no per-batch spawn/join), and answers queries from consistent cuts
+//! folded by [`fold_merge`].
 //!
 //! ## Routing and exactness
 //!
@@ -22,17 +22,19 @@
 //!   constant-increment measures (`L_1`, where acceptance ignores suffix
 //!   counts) and an approximation otherwise.
 //!
-//! ## Query semantics (snapshot isolation)
+//! ## Query semantics (consistent cuts)
 //!
-//! While the runtime is live, [`StreamSampler::sample`] no longer clones
-//! live shards. It runs a query barrier ([`barrier_all`]): each worker
-//! emits its shard's codec snapshot in-band, so the `k` records form a
-//! consistent cut (everything ingested before the query, nothing after).
-//! The coordinator restores and fold-merges the records off the ingest
-//! path; by the pinned restore-then-merge ≡ in-process-merge law the result
-//! is byte-identical to the old clone-and-merge, but workers resume
-//! ingesting as soon as their (cheap) serialisation is done instead of
-//! stalling behind an `O(total state)` merge.
+//! A query ([`ShardedSampler::merged`], and [`StreamSampler::sample`]
+//! over it) answers for exactly the stream routed before it. While the
+//! runtime is live it first runs a `Sync` barrier ([`barrier_all`]):
+//! staged chunks ship, every worker applies what it was sent, acks, and
+//! waits idle without its shard's lock. The query then fold-merges clones
+//! of the shard states. It holds `&mut self` throughout, so no ingest
+//! interleaves and the clones are a consistent cut. No snapshot is
+//! encoded or restored in-process; that codec round trip is the
+//! cross-process path (the ingest service's `Query` barrier), and the
+//! pinned restore-then-merge ≡ in-process-merge law keeps both answers
+//! byte-identical.
 //!
 //! On top of that, [`ShardedSampler::query`] is the typed front door over
 //! [`ShardedSampler::merged`]: a
@@ -309,27 +311,22 @@ struct RuntimeState<U: StreamUpdate> {
     staging: Vec<Vec<U>>,
     /// The last barrier epoch sent on the links.
     epoch: u64,
-    /// Query barriers completed (reported as [`RuntimeStats::snapshots`]).
-    snapshots: u64,
 }
 
 impl<U: StreamUpdate> RuntimeState<U> {
     /// Ships every non-empty staging buffer (staged items were routed
-    /// after everything already shipped), then runs one barrier of `kind`
-    /// across every shard: a flush (`Sync`) or a consistent-cut query
-    /// (`Query`, which returns the shards' snapshots in shard order).
-    fn barrier(&mut self, kind: BarrierKind) -> Vec<Vec<u8>> {
+    /// after everything already shipped), then runs one `Sync` barrier
+    /// across every shard: on return every routed update is applied and
+    /// each worker waits idle, without its shard's lock.
+    fn quiesce(&mut self) {
         for (link, buffer) in self.links.iter_mut().zip(&mut self.staging) {
             if !buffer.is_empty() {
                 *buffer = link.ship(std::mem::take(buffer)).expect("rings never err");
             }
         }
         self.epoch += 1;
-        if kind == BarrierKind::Query {
-            self.snapshots += 1;
-        }
-        barrier_all(&mut self.links, self.epoch, kind)
-            .unwrap_or_else(|e| panic!("in-process barrier failed: {e}"))
+        barrier_all(&mut self.links, self.epoch, BarrierKind::Sync)
+            .unwrap_or_else(|e| panic!("in-process barrier failed: {e}"));
     }
 
     /// Heap bytes of the chunk buffers this side holds: the staging
@@ -344,10 +341,7 @@ impl<U: StreamUpdate> RuntimeState<U> {
     }
 
     fn stats(&self) -> RuntimeStats {
-        let mut total = RuntimeStats {
-            snapshots: self.snapshots,
-            ..RuntimeStats::default()
-        };
+        let mut total = RuntimeStats::default();
         for link in &self.links {
             total.chunks += link.stats().chunks;
             total.blocked += link.stats().blocked;
@@ -487,7 +481,7 @@ where
     /// shard reads observe every update routed so far.
     fn quiesce(&self) {
         if let Some(runtime) = &self.runtime {
-            lock(runtime).barrier(BarrierKind::Sync);
+            lock(runtime).quiesce();
         }
     }
 
@@ -512,7 +506,6 @@ where
             links,
             staging: vec![Vec::new(); self.shards.len()],
             epoch: 0,
-            snapshots: 0,
         }));
     }
 
@@ -619,26 +612,15 @@ where
     }
 
     /// Builds a merged sampler answering for the combined stream of all
-    /// shards. While the runtime is live this restores the workers'
-    /// consistent-cut snapshots and fold-merges those (the shards keep
-    /// ingesting in the meantime); otherwise it fold-merges clones. The two
-    /// paths agree byte-for-byte by the restore-then-merge ≡
-    /// in-process-merge law. Merge coins come from the front-end's own RNG,
-    /// so repeated queries draw independent merged states.
+    /// shards: quiesces the runtime (a no-op while it is not live), then
+    /// fold-merges clones of the shard states. `&mut self` keeps ingest
+    /// out for the whole call, so the clones are a consistent cut of
+    /// everything routed before it. Merge coins come from the front-end's
+    /// own RNG, so repeated queries draw independent merged states.
     pub fn merged(&mut self) -> S {
-        let merged = match &mut self.runtime {
-            Some(runtime) => {
-                let records = runtime.get_mut().unwrap().barrier(BarrierKind::Query);
-                let restore =
-                    |bytes: &Vec<u8>| S::restore(bytes).expect("worker snapshots restore");
-                fold_merge(records.iter().map(restore), &mut self.rng)
-            }
-            None => {
-                let clone = |state: &Arc<Mutex<S>>| lock(state).clone();
-                fold_merge(self.shards.iter().map(clone), &mut self.rng)
-            }
-        };
-        merged.unwrap_or_else(|e| panic!("{e}"))
+        self.quiesce();
+        let clone = |state: &Arc<Mutex<S>>| lock(state).clone();
+        fold_merge(self.shards.iter().map(clone), &mut self.rng).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The ingest generation this sampler is at: one epoch per
@@ -746,8 +728,8 @@ where
         self.ingest_batch(items);
     }
 
-    /// Merges the shards — from snapshot-isolated cuts while the runtime is
-    /// live — and queries the merged instance.
+    /// Merges the shards at a consistent cut (see
+    /// [`ShardedSampler::merged`]) and queries the merged instance.
     fn sample(&mut self) -> SampleOutcome {
         self.merged().draw()
     }
@@ -772,8 +754,8 @@ where
         self.ingest_batch(updates);
     }
 
-    /// Merges the shards — from snapshot-isolated cuts while the runtime is
-    /// live — and queries the merged instance.
+    /// Merges the shards at a consistent cut (see
+    /// [`ShardedSampler::merged`]) and queries the merged instance.
     fn sample(&mut self) -> SampleOutcome {
         self.merged().draw()
     }
@@ -857,9 +839,9 @@ where
 ///
 /// Because each shard is itself a complete snapshot of a mergeable
 /// sampler, the per-shard records can also be shipped to *different*
-/// processes and recombined there with [`fold_merge`] — restore-then-merge
-/// is both the cross-machine scatter-gather path and what the runtime's
-/// own snapshot-isolated queries replay in-process.
+/// processes and recombined there with [`fold_merge`]. Restore-then-merge
+/// is the cross-process scatter-gather path; in-process queries fold the
+/// shard states directly, and the two agree byte for byte.
 impl<S, U> Snapshot for ShardedSampler<S, U>
 where
     S: MergeableSampler + UpdateSampler<U> + Clone + Send + Snapshot + Restore + 'static,
@@ -1628,5 +1610,47 @@ mod tests {
                 "restored sharded turnstile diverged at draw {draw}"
             );
         }
+    }
+
+    /// In-process queries fold clones of the quiesced shards; the service
+    /// restores each shard's wire snapshot and folds those with coins from
+    /// `seed ^ MERGE_SEED_SALT`. On a live 3-shard runtime, queried
+    /// mid-stream and again at the end (the coins carried over), both give
+    /// the same bytes, for L2 shards and for turnstile F0 shards.
+    #[test]
+    fn live_queries_equal_the_restore_then_fold_recipe() {
+        fn check<S, U>(mut live: ShardedSampler<S, U>, stream: &[U], seed: u64)
+        where
+            S: MergeableSampler + UpdateSampler<U> + Clone + Send + Snapshot + Restore + 'static,
+            U: StreamUpdate,
+        {
+            let mut coins = Xoshiro256::seed_from_u64(seed ^ MERGE_SEED_SALT);
+            for (cut, part) in stream.chunks(stream.len().div_ceil(2)).enumerate() {
+                live.ingest_batch(part);
+                assert!(live.runtime_active(), "cut {cut} ran without the runtime");
+                let merged = live.merged().snapshot();
+                let restore = |i| S::restore(&live.shard(i).snapshot()).unwrap();
+                let want = fold_merge((0..3).map(restore), &mut coins).unwrap();
+                assert_eq!(
+                    merged,
+                    want.snapshot(),
+                    "cut {cut} drifted from restore-then-fold"
+                );
+            }
+            assert!(live.runtime_stats().chunks >= 3 * 2 * 3);
+        }
+        // Each half routes about three chunks plus a staged remainder to
+        // every shard.
+        let half = 9 * RUNTIME_CHUNK + 1_234;
+        check(
+            sharded_l2(3, ShardingStrategy::Hash, 29),
+            &zipfish_stream(2 * half, 509),
+            29,
+        );
+        check(
+            sharded_turnstile(3, ShardingStrategy::Hash, 31),
+            &signed_stream(2 * half * 3 / 5, 509),
+            31,
+        );
     }
 }

@@ -21,9 +21,9 @@
 //! section scales the monitor up: a 4-shard `ShardedSampler` on the
 //! persistent worker-pool runtime ingests a much larger packet stream in
 //! batches while the reporting thread pulls traffic-proportional samples
-//! mid-stream from snapshot-isolated queries — the workers keep ingesting
-//! while each report is answered from a consistent-cut snapshot, never
-//! from a clone of the live shards.
+//! mid-stream from consistent-cut queries — each report waits for the
+//! workers to apply what was routed before it, then merges clones of the
+//! quiesced shards, and ingest resumes.
 
 use tps_core::f0::SlidingWindowF0Sampler;
 use tps_core::lp::TrulyPerfectLpSampler;
@@ -95,15 +95,15 @@ fn main() {
         window_truth.f0()
     );
 
-    // --- Sharded ingest + periodic snapshot queries -------------------------
+    // --- Sharded ingest + periodic consistent queries -----------------------
     //
     // The production shape: packets arrive far faster than one core can
     // absorb, so a hash-routed ShardedSampler spreads them over a pool of
     // persistent workers (one long-lived thread per shard, fed by bounded
     // channels). The monitor keeps reporting while ingest runs: each periodic
-    // query makes the workers emit codec snapshots at a consistent cut,
-    // and the merged answer is built off the hot path — ingest never
-    // stops, and the live shards are never cloned.
+    // query waits for the workers to apply every packet routed before it,
+    // then merges clones of the quiesced shards, so each report answers
+    // for exactly the packets seen so far.
     let shards = 4;
     let batch_len = 64 * 1024;
     let batches = 24;
