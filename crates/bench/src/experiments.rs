@@ -988,10 +988,11 @@ fn scoped_two_phase_ingest(shards: &mut [TrulyPerfectLpSampler], batch: &[u64]) 
 
 /// E13: steady-state ingest of the persistent sharded runtime vs the
 /// retired scoped-thread path, plus the cost of consistent queries
-/// (barrier + clone + fold-merge) issued mid-ingest. Streams are fed in `batch_len`-sized batches (the
-/// steady-state shape the runtime is built for, as opposed to E12's one
-/// monolithic batch); both legs of every comparison run on the same host
-/// within the same call, so the recorded *ratios* transfer across runners.
+/// (barrier + clone + fold-merge) issued mid-ingest. Streams are fed in
+/// `batch_len`-sized batches (the steady-state shape the runtime is built
+/// for, as opposed to E12's one monolithic batch); both legs of every
+/// comparison run on the same host within the same call, so the recorded
+/// *ratios* transfer across runners.
 pub fn e13_runtime(stream_length: usize, universe: u64, shard_counts: &[usize]) -> RuntimeReport {
     use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
 
