@@ -838,7 +838,12 @@ pub fn e12_sharded(stream_length: usize, universe: u64, shard_counts: &[usize]) 
                     stream.len() as f64 / start.elapsed().as_secs_f64() / 1e6
                 } else {
                     let scatter_start = Instant::now();
-                    let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); shards];
+                    // Reserved like the runtime's scatter (a balanced
+                    // split plus 50% skew headroom), so the stage times
+                    // routing, not growth reallocation.
+                    let hint = stream.len() / shards + stream.len() / (2 * shards) + 8;
+                    let mut buckets: Vec<Vec<u64>> =
+                        (0..shards).map(|_| Vec::with_capacity(hint)).collect();
                     for &item in &stream {
                         buckets[sharded.hash_shard_of(item)].push(item);
                     }

@@ -18,7 +18,10 @@
 //! barriers. A full channel blocks `ship` until the worker drains a slot,
 //! so every routed chunk is delivered, memory stays bounded, and a barrier
 //! never queues behind more than three chunks; [`RuntimeStats`] counts the
-//! blocked sends.
+//! blocked sends. The service's wire links keep the same lead rule, in
+//! the same constants: pieces of at most
+//! [`RUNTIME_CHUNK`](crate::sharded::RUNTIME_CHUNK) updates, with at most
+//! [`RING_CAPACITY`] earlier ones unacked when the next ships.
 //!
 //! ## Ownership
 //!
@@ -112,19 +115,21 @@ pub fn collect_acks<U, L: ShardLink<U>>(
     Ok(snapshots)
 }
 
-/// Commands buffered per shard link. Fixed, not a knob: it bounds how far
-/// the coordinator runs ahead of a shard's worker. After `ship` returns, at
-/// most `RING_CAPACITY + 1` shipped chunks are unapplied (the channel's
-/// slots plus the one the worker holds). A consistent query also ships
-/// each shard's staged remainder, less than one more chunk, so its barrier
-/// waits for the worker to apply at most those `RING_CAPACITY + 1` chunks
-/// plus the remainder: with [`crate::sharded::RUNTIME_CHUNK`]'s
-/// 8Ki-item chunks, 24Ki shipped plus fewer than 8Ki staged updates per
-/// shard, about 1.4 ms for an L2 worker applying ~23 M updates/s. Two
-/// slots keep the next chunk ready while the worker applies one; each
-/// extra slot, or each doubling of the chunk, adds to every consistent
-/// query's wait.
-pub(crate) const RING_CAPACITY: usize = 2;
+/// The lead rule every shard link keeps: before it ships a chunk, at most
+/// this many earlier chunks are unapplied. A [`RingLink`] gets it from
+/// its channel's slots; a service worker link reads `Sync` acks until at
+/// most this many earlier pieces are unacked. Fixed, not a knob. After
+/// `ship` returns, at most `RING_CAPACITY + 1` shipped chunks are
+/// unapplied (the queued ones plus the one the worker holds). A
+/// consistent query also ships each shard's staged remainder, less than
+/// one more chunk, so its barrier waits for the worker to apply at most
+/// those `RING_CAPACITY + 1` chunks plus the remainder: with
+/// [`crate::sharded::RUNTIME_CHUNK`]'s 8Ki-item chunks, 24Ki shipped plus
+/// fewer than 8Ki staged updates per shard, about 1.4 ms for an L2 worker
+/// applying ~23 M updates/s. Two keep the next chunk ready while the
+/// worker applies one; each extra one, or each doubling of the chunk,
+/// adds to every consistent query's wait.
+pub const RING_CAPACITY: usize = 2;
 
 /// Pressure and throughput counters of the in-process runtime (cumulative
 /// over the runtime's lifetime, summed across shards). Cheap to read —

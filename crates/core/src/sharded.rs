@@ -152,12 +152,13 @@ pub fn fold_merge<S: MergeableSampler>(
 /// subsequent updates flow through it.
 const PARALLEL_MIN_PER_SHARD: usize = 4_096;
 
-/// Items staged per shard before a chunk is shipped to the shard's link.
-/// Fixed, not a knob; public read-only so benchmarks can slice work the
-/// way the runtime ships it. Coarse enough that channel crossings and
+/// Items staged per shard before a chunk is shipped to the shard's link,
+/// and the most a service worker link sends as one piece. Fixed, not a
+/// knob; public read-only so benchmarks and the service can slice work
+/// the way the runtime ships it. Coarse enough that channel crossings and
 /// reply traffic are amortised away, fine enough to bound the queue a
-/// barrier waits behind; `RING_CAPACITY` in [`crate::runtime`] derives
-/// that bound and what it costs a consistent query.
+/// barrier waits behind; [`RING_CAPACITY`](crate::runtime::RING_CAPACITY)
+/// derives that bound and what it costs a consistent query.
 pub const RUNTIME_CHUNK: usize = 8 * 1024;
 
 /// Named-setter construction for [`ShardedSampler`] — the front door that

@@ -30,17 +30,30 @@
 //!
 //! ## Flow control
 //!
-//! Every shipped part is followed by a [`BarrierKind::Sync`] carrying the
-//! link's sequence number, and the worker acks it at once. Before
-//! shipping a worker's next part the link reads that worker's acks until
-//! every earlier `Sync` is acked, so at most `CREDIT_WINDOW` (one) chunk
-//! is ever unacknowledged on a link: routing the next chunk
-//! overlaps the worker's ingest, but the coordinator never runs further
-//! ahead. Pending consistent queries are served between that credit wait
-//! and the next shipment, so their barrier queues behind no chunk. Acks
-//! arrive in send order, so the link's `ack` first reads past the pending
-//! `Sync` acks. A `Sync` consumes no job epoch and writes nothing
-//! to disk.
+//! A link ships in pieces of at most [`RUNTIME_CHUNK`] updates, and the
+//! ingest loop routes straight into per-worker piece buffers, shipping
+//! each as it fills, so a hot worker gets its next piece while the rest
+//! of the chunk is still being routed. Every piece is followed by a
+//! [`BarrierKind::Sync`] carrying the link's sequence number, and the
+//! worker acks it at once. Before each piece the link reads that worker's
+//! acks until at most [`RING_CAPACITY`] earlier pieces are unacked: the
+//! in-process runtime's lead rule, in the same constants, so a link holds
+//! at most `3 × 8Ki` unapplied updates. A `Sync` consumes no job epoch
+//! and writes nothing to disk.
+//!
+//! Pending consistent queries are served at chunk boundaries, after the
+//! chunk's last piece and before the next chunk's first, so a query's
+//! processed count is exactly `min(cut × chunk, count)`. Its barrier goes
+//! out without draining any link first: it queues behind at most that
+//! lead. Acks arrive in send order, so the link's `ack` first reads past
+//! the pending `Sync` acks.
+//!
+//! Collection stays synchronous: every barrier's acks (query and
+//! checkpoint) are read before the next piece ships. So whenever the
+//! coordinator blocks on a send, no snapshot-bearing ack can be unread,
+//! and at most `RING_CAPACITY + 1` small `Sync` acks are outstanding per
+//! link. Neither side can then wedge on a full pipe or socket buffer: the
+//! worker's only writes while the coordinator sends are those few acks.
 //!
 //! ## Coordinator durability
 //!
@@ -61,10 +74,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use tps_core::runtime::{barrier_all, collect_acks, send_barrier, ShardLink};
+use tps_core::runtime::{barrier_all, collect_acks, send_barrier, ShardLink, RING_CAPACITY};
 use tps_core::sharded::{
     fold_merge, hash_route, ShardedSampler, ShardedSamplerBuilder, ShardingStrategy,
-    MERGE_SEED_SALT,
+    MERGE_SEED_SALT, RUNTIME_CHUNK,
 };
 use tps_random::Xoshiro256;
 use tps_streams::codec::delta::IncrementalCheckpointer;
@@ -158,13 +171,8 @@ impl QueryReport {
     }
 }
 
-/// Chunks a coordinator→worker link may hold unacknowledged. One is
-/// enough to overlap routing with the worker's ingest; each extra chunk
-/// queued ahead of a worker is a chunk every query barrier waits behind.
-const CREDIT_WINDOW: u64 = 1;
-
-/// One attached worker plus its replay record and credit window; it
-/// ships chunks of `U`.
+/// One attached worker plus its replay record and `Sync` counters; it
+/// ships pieces of `U`.
 struct WorkerHandle<U> {
     shard: usize,
     conn: Box<dyn Connection>,
@@ -251,27 +259,54 @@ impl<U: IngestPayload> WorkerHandle<U> {
         }
         Ok(resume_epoch)
     }
-}
 
-/// The wire [`ShardLink`]: a worker process behind its connection, with
-/// a credit window of [`CREDIT_WINDOW`] chunk. The caller records what it
-/// shipped in the replay record.
-impl<U: IngestPayload> ShardLink<U> for WorkerHandle<U> {
-    /// Ships one part once the credit window has room, then asks for the
-    /// next credit. The part is moved into the message and back out, never
-    /// cloned; it comes back empty, keeping its capacity.
-    fn ship(&mut self, part: Vec<U>) -> io::Result<Vec<U>> {
-        self.settle_syncs(CREDIT_WINDOW - 1)?;
-        let msg = U::into_ingest(part);
+    /// Sends one piece and its `Sync` once at most [`RING_CAPACITY`]
+    /// earlier pieces are unacked. The piece is moved into the message and
+    /// back out, never cloned; it comes back empty, keeping its capacity.
+    fn send_piece(&mut self, piece: Vec<U>) -> io::Result<Vec<U>> {
+        self.settle_syncs(RING_CAPACITY as u64)?;
+        let msg = U::into_ingest(piece);
         self.conn.send(&msg)?;
-        let mut part =
+        let mut piece =
             U::from_ingest(msg).map_err(|_| invalid("ingest message lost its chunk".into()))?;
-        part.clear();
+        piece.clear();
         self.syncs_sent += 1;
         self.conn.send(&WireMessage::Barrier {
             epoch: self.syncs_sent,
             kind: BarrierKind::Sync,
         })?;
+        Ok(piece)
+    }
+
+    /// Ships `part` as (the next piece of) chunk `index`'s part, recording
+    /// the chunk in the replay record once, tagged `tag`; `part` comes
+    /// back empty.
+    fn ship_part(&mut self, part: &mut Vec<U>, tag: u64, index: u64) -> io::Result<()> {
+        *part = self.ship(std::mem::take(part))?;
+        if self.replay.last() != Some(&(tag, index)) {
+            self.replay.push((tag, index));
+        }
+        Ok(())
+    }
+}
+
+/// The wire [`ShardLink`]: a worker process behind its connection, under
+/// the runtime's lead rule (see the module docs). The caller records what
+/// it shipped in the replay record.
+impl<U: IngestPayload> ShardLink<U> for WorkerHandle<U> {
+    /// Ships `part` as pieces of at most [`RUNTIME_CHUNK`] updates, each
+    /// followed by its `Sync`. A part that fits one piece travels as is;
+    /// a longer one (a replayed chunk) is copied out piece by piece.
+    fn ship(&mut self, mut part: Vec<U>) -> io::Result<Vec<U>> {
+        if part.len() <= RUNTIME_CHUNK {
+            return self.send_piece(part);
+        }
+        let mut piece = Vec::with_capacity(RUNTIME_CHUNK);
+        for items in part.chunks(RUNTIME_CHUNK) {
+            piece.extend_from_slice(items);
+            piece = self.send_piece(piece)?;
+        }
+        part.clear();
         Ok(part)
     }
 
@@ -458,6 +493,33 @@ fn route_part<U: StreamUpdate>(
             .iter()
             .filter(|update| hash_route(update.route_key(), spec.workers) == shard),
     );
+}
+
+/// Routes stream chunk `index` straight into the per-worker piece
+/// buffers, shipping each piece as it fills and every remainder at the
+/// end, so the whole chunk is on the links by the next chunk boundary.
+/// Each worker's replay record gets the chunk once, tagged `tag`.
+fn route_chunk<U: IngestPayload>(
+    workers: &mut [WorkerHandle<U>],
+    pieces: &mut [Vec<U>],
+    chunk: &[U],
+    tag: u64,
+    index: u64,
+) -> io::Result<()> {
+    for &update in chunk {
+        let shard = hash_route(update.route_key(), workers.len());
+        let piece = &mut pieces[shard];
+        piece.push(update);
+        if piece.len() == RUNTIME_CHUNK {
+            workers[shard].ship_part(piece, tag, index)?;
+        }
+    }
+    for (worker, piece) in workers.iter_mut().zip(pieces) {
+        if !piece.is_empty() {
+            worker.ship_part(piece, tag, index)?;
+        }
+    }
+    Ok(())
 }
 
 /// Re-sends `worker` the recorded parts its recovered epoch does not
@@ -836,24 +898,18 @@ fn drive_job<U: IngestPayload + PartialEq>(
     };
 
     let mut kill_pending = fault.kill;
-    // One routing buffer per shard for the whole job, sized for a whole
-    // chunk so routing never regrows it; `ship` hands each one back.
-    let mut parts: Vec<Vec<U>> = (0..spec.workers)
-        .map(|_| Vec::with_capacity(spec.chunk.min(stream.len())))
+    // One piece buffer per shard for the whole job, sized for a whole
+    // piece so routing never regrows it; `ship` hands each one back.
+    let mut pieces: Vec<Vec<U>> = (0..spec.workers)
+        .map(|_| Vec::with_capacity(RUNTIME_CHUNK.min(spec.chunk)))
         .collect();
     for (index, chunk) in stream.chunks(spec.chunk).enumerate() {
         if (index as u64) < start_chunks {
             continue; // routed (and manifest-covered) before the resume cut
         }
-        for &update in chunk {
-            parts[hash_route(update.route_key(), spec.workers)].push(update);
-        }
-        // Queries are served once every worker has taken its last chunk
-        // and before the next one ships, so a query barrier queues
-        // behind no chunk at all.
-        for worker in workers.iter_mut() {
-            worker.settle_syncs(CREDIT_WINDOW - 1)?;
-        }
+        // Queries are served at the chunk boundary, before any piece of
+        // this chunk ships; the barrier queues behind at most each link's
+        // lead, whose acks `ack` reads first.
         if let Some(plane) = &plane {
             serve_queries(
                 plane,
@@ -864,12 +920,7 @@ fn drive_job<U: IngestPayload + PartialEq>(
                 routed_prefix(stream.len(), chunks_routed, spec.chunk),
             )?;
         }
-        for (worker, part) in workers.iter_mut().zip(&mut parts) {
-            if !part.is_empty() {
-                *part = worker.ship(std::mem::take(part))?;
-                worker.replay.push((epoch, index as u64));
-            }
-        }
+        route_chunk(&mut workers, &mut pieces, chunk, epoch, index as u64)?;
         chunks_routed += 1;
 
         if let Some(kill) = kill_pending {
@@ -1135,76 +1186,169 @@ mod tests {
         assert_ne!(a.merged_fnv, run_reference(&other).unwrap().merged_fnv);
     }
 
-    /// The credit window over a real socket: a scripted worker that holds
-    /// back its `Sync` ack receives the first chunk and its `Sync`, then
-    /// nothing — the coordinator's second `ship` waits for the credit —
-    /// and the second chunk arrives only after the ack.
-    #[test]
-    fn a_withheld_sync_ack_holds_back_the_next_chunk() {
+    /// How long a scripted worker waits for a frame: a coordinator that
+    /// withholds one fails the test instead of hanging it.
+    const SCRIPT_TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// A link to a scripted worker over a real socket: the worker thread
+    /// sends its `Hello`, then runs `script` on its end of the connection,
+    /// with a clone of the socket to probe for unread bytes.
+    fn scripted_link(
+        script: impl FnOnce(&mut TcpConnection, &std::net::TcpStream) + Send + 'static,
+    ) -> (WorkerHandle<Item>, std::thread::JoinHandle<()>) {
         use std::net::TcpListener;
-        use std::sync::mpsc;
         use tps_streams::wire::transport::tcp_framed;
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (acked_tx, acked_rx) = mpsc::channel();
         let worker = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(SCRIPT_TIMEOUT)).unwrap();
             let probe = stream.try_clone().unwrap();
             let mut conn = tcp_framed(stream).unwrap();
             conn.send(&WireMessage::hello(0, 0)).unwrap();
-            let expect = |conn: &mut TcpConnection, want: WireMessage| {
-                assert_eq!(conn.recv().unwrap(), Some(want));
-            };
-            expect(&mut conn, WireMessage::Ingest { items: vec![1, 2] });
-            expect(
-                &mut conn,
-                WireMessage::Barrier {
-                    epoch: 1,
-                    kind: BarrierKind::Sync,
-                },
-            );
-            // Withhold the credit: no further byte may arrive.
-            probe
-                .set_read_timeout(Some(Duration::from_millis(300)))
-                .unwrap();
-            let mut byte = [0u8; 1];
-            match probe.peek(&mut byte) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) => {}
-                other => panic!("a frame arrived before the credit: {other:?}"),
-            }
-            probe.set_read_timeout(None).unwrap();
-            acked_tx.send(()).unwrap();
-            conn.send(&WireMessage::BarrierAck {
-                shard: 0,
-                epoch: 1,
-                snapshot: None,
-            })
+            script(&mut conn, &probe);
+        });
+        let mut link = WorkerHandle::new(0, Box::new(tcp_connect(addr).unwrap()));
+        assert_eq!(link.handshake().unwrap(), 0);
+        (link, worker)
+    }
+
+    /// Reads one piece and its `Sync`: the piece's items and the sync's
+    /// sequence number.
+    fn read_piece(conn: &mut TcpConnection) -> (Vec<Item>, u64) {
+        let items = match conn.recv().unwrap() {
+            Some(WireMessage::Ingest { items }) => items,
+            other => panic!("expected a piece, got {other:?}"),
+        };
+        match conn.recv().unwrap() {
+            Some(WireMessage::Barrier {
+                epoch,
+                kind: BarrierKind::Sync,
+            }) => (items, epoch),
+            other => panic!("expected the piece's sync, got {other:?}"),
+        }
+    }
+
+    /// Asserts that no byte arrives on the socket for 300 ms, then
+    /// restores the socket's (shared) read timeout.
+    fn assert_silent(probe: &std::net::TcpStream, what: &str) {
+        probe
+            .set_read_timeout(Some(Duration::from_millis(300)))
             .unwrap();
-            expect(&mut conn, WireMessage::Ingest { items: vec![3] });
-            expect(
-                &mut conn,
-                WireMessage::Barrier {
-                    epoch: 2,
-                    kind: BarrierKind::Sync,
-                },
+        match probe.peek(&mut [0u8; 1]) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) => {}
+            other => panic!("a frame arrived {what}: {other:?}"),
+        }
+        probe.set_read_timeout(Some(SCRIPT_TIMEOUT)).unwrap();
+    }
+
+    fn ack(conn: &mut TcpConnection, epoch: u64, snapshot: Option<Vec<u8>>) {
+        conn.send(&WireMessage::BarrierAck {
+            shard: 0,
+            epoch,
+            snapshot,
+        })
+        .unwrap();
+    }
+
+    /// A part longer than a piece arrives as ⌈len / RUNTIME_CHUNK⌉
+    /// `Ingest` + `Sync` pairs, in order, that concatenate to the part.
+    #[test]
+    fn a_long_part_arrives_as_pieces_in_order() {
+        let part: Vec<Item> = (0..2 * RUNTIME_CHUNK as u64 + 5).collect();
+        let expected = part.clone();
+        let (mut link, worker) = scripted_link(move |conn, _| {
+            let mut received = Vec::new();
+            let mut lens = Vec::new();
+            for seq in 1..=3 {
+                let (items, sync) = read_piece(conn);
+                assert_eq!(sync, seq);
+                lens.push(items.len());
+                received.extend(items);
+                ack(conn, seq, None);
+            }
+            assert_eq!(lens, [RUNTIME_CHUNK, RUNTIME_CHUNK, 5]);
+            assert!(
+                received == expected,
+                "the pieces do not concatenate to the part"
             );
         });
+        assert!(link.ship(part).unwrap().is_empty());
+        worker.join().unwrap();
+        assert_eq!(link.syncs_sent, 3);
+    }
 
-        let mut link = WorkerHandle::<Item>::new(0, Box::new(tcp_connect(addr).unwrap()));
-        assert_eq!(link.handshake().unwrap(), 0);
-        assert!(link.ship(vec![1, 2]).unwrap().is_empty());
-        link.ship(vec![3]).unwrap();
-        // The second ship returned, so the credit had been granted.
+    /// The lead rule over a real socket: a worker that withholds its acks
+    /// receives exactly `RING_CAPACITY + 1` pieces, then no byte until it
+    /// acks one, and then the next piece.
+    #[test]
+    fn a_worker_that_withholds_acks_gets_exactly_three_pieces() {
+        use std::sync::mpsc;
+
+        let (acked_tx, acked_rx) = mpsc::channel();
+        let (mut link, worker) = scripted_link(move |conn, probe| {
+            for seq in 1..=3 {
+                assert_eq!(read_piece(conn).1, seq);
+            }
+            assert_silent(probe, "past the lead bound");
+            acked_tx.send(()).unwrap();
+            ack(conn, 1, None);
+            assert_eq!(read_piece(conn), (vec![3 * RUNTIME_CHUNK as u64], 4));
+        });
+        let part: Vec<Item> = (0..=3 * RUNTIME_CHUNK as u64).collect();
+        link.ship(part).unwrap();
+        // `ship` returned, so the fourth piece went out after the ack.
         acked_rx
             .try_recv()
-            .expect("second chunk shipped before the credit");
+            .expect("the fourth piece shipped before an ack");
         worker.join().unwrap();
-        assert_eq!((link.syncs_sent, link.syncs_acked), (2, 1));
+        assert_eq!((link.syncs_sent, link.syncs_acked), (4, 1));
+    }
+
+    /// A query barrier at a chunk boundary follows the chunk's last piece
+    /// without waiting for its `Sync` acks, and no piece of the next chunk
+    /// is sent before the barrier's ack has been read.
+    #[test]
+    fn a_query_barrier_follows_the_chunk_without_draining_the_link() {
+        use std::sync::mpsc;
+
+        let (acked_tx, acked_rx) = mpsc::channel();
+        let (link, worker) = scripted_link(move |conn, probe| {
+            for seq in 1..=2 {
+                assert_eq!(read_piece(conn).1, seq);
+            }
+            // Both syncs unacked, and the barrier is already here.
+            assert_eq!(
+                conn.recv().unwrap(),
+                Some(WireMessage::Barrier {
+                    epoch: 1,
+                    kind: BarrierKind::Query,
+                })
+            );
+            assert_silent(probe, "before the barrier's ack");
+            acked_tx.send(()).unwrap();
+            ack(conn, 1, None);
+            ack(conn, 2, None);
+            ack(conn, 1, Some(vec![7]));
+            assert_eq!(read_piece(conn), (vec![42], 3));
+        });
+        let mut workers = [link];
+        let mut pieces = vec![Vec::new()];
+        let chunk: Vec<Item> = (0..2 * RUNTIME_CHUNK as u64).collect();
+        route_chunk(&mut workers, &mut pieces, &chunk, 0, 0).unwrap();
+        let snapshots = barrier_all(&mut workers, 1, BarrierKind::Query).unwrap();
+        assert_eq!(snapshots, [vec![7]]);
+        acked_rx
+            .try_recv()
+            .expect("the barrier returned before its ack");
+        route_chunk(&mut workers, &mut pieces, &[42], 1, 1).unwrap();
+        worker.join().unwrap();
+        assert_eq!(workers[0].replay, [(0, 0), (1, 1)]);
     }
 
     /// A manifest's replay parts are located in the regenerated stream

@@ -52,10 +52,12 @@
 //! [`coordinator::resume_job`] and finishes with a byte-identical final
 //! query. See `manifest.rs` for the crash-consistency argument.
 //!
-//! Each link is flow-controlled: the coordinator follows every shipped
-//! chunk with a `Sync` barrier and ships that worker's next chunk only
-//! once it is acked, so a worker never has more than one chunk queued and
-//! a query barrier waits behind at most that chunk.
+//! Each link is flow-controlled under the in-process runtime's lead rule:
+//! the coordinator ships a worker's part as pieces of at most
+//! `RUNTIME_CHUNK` updates, follows every piece with a `Sync` barrier, and
+//! ships the next piece only once at most `RING_CAPACITY` earlier ones are
+//! unacked, so a worker never has more than three pieces queued and a
+//! query barrier waits behind at most those.
 //!
 //! Jobs are described by a typed, codec-serializable [`JobSpec`] built
 //! with [`ServiceBuilder`]; the CLI in `main.rs` is a thin parser over it.

@@ -18,7 +18,11 @@
 //! or thread spawn per query. Each accepted socket carries a fixed idle
 //! read deadline ([`IDLE_DEADLINE`]); a session that sends nothing for
 //! that long is closed quietly, so an idle client holds a parked thread
-//! for a bounded time, not for its whole life.
+//! for a bounded time, not for its whole life. A session reads frames of
+//! at most [`QUERY_FRAME_CAP`] bytes: a client whose length prefix claims
+//! more is disconnected before anything is allocated for the frame, so
+//! an anonymous client cannot make the plane allocate the 64 MiB a
+//! worker link allows.
 //!
 //! ## The published-cut slot
 //!
@@ -48,8 +52,12 @@
 //! Merge coins are deterministic (`seed ^ MERGE_SEED_SALT`, fresh per
 //! merge), so *any* thread reproduces the canonical merged answer from a
 //! cut's snapshots with `tps_core::sharded::fold_merge`. Handler threads
-//! do their own merging, memoized per epoch, keeping the coordinator's
-//! barrier loop free of restore/merge work entirely.
+//! do their own merging, one merge at a time with the last result
+//! memoized, keeping the coordinator's barrier loop free of restore/merge
+//! work entirely. A cached query whose staleness bound admits the last
+//! merged cut is answered from it at once, without waiting behind a merge
+//! of a newer cut; the in-process cache serves its last merged cut the
+//! same way.
 
 use std::io::{self, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
@@ -59,6 +67,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use tps_streams::codec::CodecError;
 use tps_streams::wire::transport::{
     poll_backoff, Connection, Listener, TcpConnection, TcpServerListener,
 };
@@ -110,6 +119,7 @@ struct PlaneCounters {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     rejected: AtomicU64,
+    oversized: AtomicU64,
     latency_total_micros: AtomicU64,
     latency_max_micros: AtomicU64,
 }
@@ -128,6 +138,9 @@ pub struct QueryPlaneStats {
     pub cache_misses: u64,
     /// Queries answered with a typed `QueryRejected`.
     pub rejected: u64,
+    /// Sessions ended because the client's length prefix declared a
+    /// frame over [`QUERY_FRAME_CAP`].
+    pub oversized: u64,
     /// Sum of per-query latencies, in microseconds.
     pub latency_total_micros: u64,
     /// Worst single-query latency, in microseconds.
@@ -149,9 +162,12 @@ struct Shared {
     seed: u64,
     /// The hand-rolled ArcSwap slot holding the newest published cut.
     slot: Mutex<Arc<PublishedCut>>,
-    /// Merged report for the cut at a given epoch, computed at most once
+    /// Serialises merges, so a cut's report is computed at most once
     /// however many clients ask (merging is deterministic).
-    memo: Mutex<Option<(u64, QueryReport)>>,
+    merging: Mutex<()>,
+    /// The last merged report and the cut it answers for. Locked only to
+    /// read or replace it, never across a merge.
+    memo: Mutex<Option<(Arc<PublishedCut>, QueryReport)>>,
     /// Newest published barrier epoch.
     live_epoch: AtomicU64,
     /// Set by [`QueryPlane::finish`]; the accept thread exits and late
@@ -167,16 +183,22 @@ impl Shared {
         Arc::clone(&self.slot.lock().expect("slot lock"))
     }
 
-    /// The memoized canonical merged report for `cut`.
-    fn merged(&self, cut: &PublishedCut) -> io::Result<QueryReport> {
-        let mut memo = self.memo.lock().expect("memo lock");
-        if let Some((epoch, report)) = memo.as_ref() {
-            if *epoch == cut.epoch {
-                return Ok(report.clone());
+    /// The last merged cut and its report, without waiting for a merge
+    /// in progress.
+    fn memoized(&self) -> Option<(Arc<PublishedCut>, QueryReport)> {
+        self.memo.lock().expect("memo lock").clone()
+    }
+
+    /// The canonical merged report for `cut`, memoized.
+    fn merged(&self, cut: &Arc<PublishedCut>) -> io::Result<QueryReport> {
+        let _merging = self.merging.lock().expect("merge lock");
+        if let Some((memo, report)) = self.memoized() {
+            if memo.epoch == cut.epoch {
+                return Ok(report);
             }
         }
         let report = merge_report(self.kind, &cut.snapshots, self.seed, cut.processed)?;
-        *memo = Some((cut.epoch, report.clone()));
+        *self.memo.lock().expect("memo lock") = Some((Arc::clone(cut), report.clone()));
         Ok(report)
     }
 }
@@ -187,6 +209,11 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// How long a session may wait for its client's next query before the
 /// plane closes it. A client that comes back later redials.
 pub const IDLE_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The largest frame a query session reads. A `Query` is a few dozen
+/// bytes; worker links keep the 64 MiB `MAX_MESSAGE_LEN` for snapshot
+/// acks, but a client never needs it.
+pub const QUERY_FRAME_CAP: u32 = 64 << 10;
 
 /// The coordinator's handle on the query plane. Constructed with
 /// [`QueryPlane::start`]; fed via [`QueryPlane::publish`] and the
@@ -248,6 +275,7 @@ impl QueryPlane {
             seed,
             live_epoch: AtomicU64::new(initial.epoch),
             slot: Mutex::new(Arc::new(initial)),
+            merging: Mutex::new(()),
             memo: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             counters: PlaneCounters::default(),
@@ -310,6 +338,7 @@ impl QueryPlane {
             cache_hits: c.cache_hits.load(Ordering::Relaxed),
             cache_misses: c.cache_misses.load(Ordering::Relaxed),
             rejected: c.rejected.load(Ordering::Relaxed),
+            oversized: c.oversized.load(Ordering::Relaxed),
             latency_total_micros: c.latency_total_micros.load(Ordering::Relaxed),
             latency_max_micros: c.latency_max_micros.load(Ordering::Relaxed),
         }
@@ -326,13 +355,14 @@ impl QueryPlane {
         let stats = self.stats();
         eprintln!(
             "query-plane: served={} cache_hits={} cache_misses={} rejected={} \
-             latency_mean_us={} latency_max_us={} connections={}",
+             latency_mean_us={} latency_max_us={} oversized={} connections={}",
             stats.served,
             stats.cache_hits,
             stats.cache_misses,
             stats.rejected,
             stats.latency_mean_micros(),
             stats.latency_max_micros,
+            stats.oversized,
             stats.connections,
         );
         stats
@@ -381,8 +411,9 @@ where
             return; // the wake-up dial, or a client too late to serve
         }
         match accepted {
-            Ok(Some(conn)) => {
+            Ok(Some(mut conn)) => {
                 backoff = Duration::ZERO;
+                conn.set_frame_cap(QUERY_FRAME_CAP);
                 if let Err(e) = conn.set_read_timeout(Some(idle_deadline)) {
                     eprintln!("query-plane: cannot set the idle deadline: {e}");
                     continue;
@@ -418,7 +449,8 @@ fn handle_client<C: Connection>(mut conn: C, shared: Arc<Shared>) {
 
 /// One session: the plane's `Hello` once, then a reply per `Query` until
 /// the client hangs up or the idle deadline expires, both of which end
-/// the session quietly.
+/// the session quietly. A frame prefix over [`QUERY_FRAME_CAP`] ends it
+/// with an error, counted as `oversized`.
 fn serve_one<C: Connection>(conn: &mut C, shared: &Shared) -> io::Result<()> {
     // The client checks this Hello's protocol version and capability bits
     // before it trusts a reply; its first query may already be queued.
@@ -442,6 +474,14 @@ fn serve_one<C: Connection>(conn: &mut C, shared: &Shared) -> io::Result<()> {
                 ) =>
             {
                 return Ok(())
+            }
+            // Only the prefix check reports the cap itself as what is left:
+            // a frame within the cap holds fewer bytes than the cap.
+            Err(e @ WireError::Codec(CodecError::Truncated { remaining, .. }))
+                if remaining == u64::from(QUERY_FRAME_CAP) =>
+            {
+                shared.counters.oversized.fetch_add(1, Ordering::Relaxed);
+                return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
             }
             Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
         };
@@ -489,9 +529,16 @@ fn serve_query<C: Connection>(
         shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    // Merge in *this* thread (memoized per epoch): the barrier loop never
-    // restores or merges for the query plane.
-    let report = shared.merged(&cut)?;
+    // Merge in *this* thread (memoized): the barrier loop never restores
+    // or merges for the query plane. A cached query whose bound admits the
+    // last merged cut takes it rather than wait for a merge in progress.
+    let (cut, report) = match shared.memoized() {
+        Some((memo, report)) if cached && options.admits(live, memo.epoch) => (memo, report),
+        _ => {
+            let report = shared.merged(&cut)?;
+            (cut, report)
+        }
+    };
     conn.send(&WireMessage::QueryReply {
         processed: report.processed,
         merged_fnv: report.merged_fnv,
@@ -720,6 +767,50 @@ mod tests {
         assert_eq!(plane.finish().served, 6);
     }
 
+    /// A cached query whose bound admits the last merged cut is answered
+    /// from it at once, even while a newer cut is being merged; a tighter
+    /// bound waits for that merge and gets the newer cut.
+    #[test]
+    fn a_cached_query_does_not_wait_behind_a_merge() {
+        let plane = plane_for_test();
+        plane.shared.merged(&plane.shared.load_slot()).unwrap();
+        plane.publish(cut(2));
+        let session = |max_epochs_stale| {
+            let shared = Arc::clone(&plane.shared);
+            let (sent_tx, sent_rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let mut conn = Scripted {
+                    inbound: [Ok(Some(WireMessage::Query {
+                        options: QueryOptions::cached(max_epochs_stale),
+                    }))]
+                    .into(),
+                    sent: Vec::new(),
+                };
+                serve_one(&mut conn, &shared).unwrap();
+                let _ = sent_tx.send(conn.sent.pop().unwrap());
+            });
+            sent_rx
+        };
+        // A merge of cut 2 in progress.
+        let merging = plane.shared.merging.lock().unwrap();
+        let stale_ok = session(1)
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the cached query waited behind the merge");
+        assert!(
+            matches!(stale_ok, WireMessage::QueryReply { epoch: 1, .. }),
+            "{stale_ok:?}"
+        );
+        let fresh = session(0);
+        assert!(fresh.recv_timeout(Duration::from_millis(200)).is_err());
+        drop(merging);
+        let fresh = fresh.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(
+            matches!(fresh, WireMessage::QueryReply { epoch: 2, .. }),
+            "{fresh:?}"
+        );
+        plane.finish();
+    }
+
     #[test]
     fn a_broken_session_is_an_error() {
         let plane = plane_for_test();
@@ -775,6 +866,54 @@ mod tests {
         );
         let stats = plane.finish();
         assert_eq!((stats.connections, stats.served), (1, 3));
+    }
+
+    /// A raw client that declares a 64 MiB frame has its session ended at
+    /// the prefix, before the plane allocates for it; the plane counts it
+    /// and still serves the next client.
+    #[test]
+    fn an_oversized_frame_prefix_ends_only_its_session() {
+        use std::io::Read as _;
+        use tps_streams::wire::read_message;
+        use tps_streams::wire::transport::tcp_connect;
+
+        let plane = plane_for_test();
+        let mut raw = TcpStream::connect(plane.wake_addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        raw.write_all(&(64u32 << 20).to_le_bytes()).unwrap();
+        // The plane's Hello, then the end of the session, well inside the
+        // read timeout.
+        let mut received = Vec::new();
+        match raw.read_to_end(&mut received) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("the session did not end: {e}"),
+        }
+        assert!(matches!(
+            read_message(&mut received.as_slice()),
+            Ok(Some(WireMessage::Hello { .. }))
+        ));
+
+        let mut client = tcp_connect(plane.wake_addr).unwrap();
+        client
+            .send(&WireMessage::Query {
+                options: QueryOptions::cached(0),
+            })
+            .unwrap();
+        assert!(matches!(
+            client.recv().unwrap(),
+            Some(WireMessage::Hello { .. })
+        ));
+        assert!(matches!(
+            client.recv().unwrap(),
+            Some(WireMessage::QueryReply { epoch: 1, .. })
+        ));
+        drop(client);
+        let stats = plane.finish();
+        assert_eq!(
+            (stats.oversized, stats.served, stats.connections),
+            (1, 1, 2)
+        );
     }
 
     #[test]

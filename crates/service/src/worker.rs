@@ -11,8 +11,9 @@
 //! `CheckpointPublish` barrier do both — the checkpoint frame goes to
 //! disk *and* the ack carries the snapshot, feeding the coordinator's
 //! query-plane snapshot cache in the same round; on a `Sync` barrier ack
-//! at once with no snapshot and no disk write (the coordinator's credit
-//! window: it ships this worker's next chunk only after that ack). The
+//! at once with no snapshot and no disk write (the coordinator's flow
+//! control: it ships this worker's next piece only while at most two
+//! earlier pieces are unacked). The
 //! worker never sees the stream outside its shard and never touches the
 //! golden-corpus registry: its entire interface is the connection and the
 //! chain file.

@@ -779,7 +779,9 @@ fn one_client_session_serves_mixed_queries_mid_ingest() {
     let dir = JobDir::fresh("query-session");
     let spec = JobSpec {
         // Long enough that ingest is still running when the last query
-        // is answered: each consistent query waits one chunk boundary.
+        // is answered: each consistent query waits for the next chunk
+        // boundary, its barrier queued behind at most three pieces per
+        // link, and a checkpoint barrier every three chunks paces ingest.
         count: 400_000,
         ..base_spec(SamplerKind::L2, dir.path(), true)
     };

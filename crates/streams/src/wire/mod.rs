@@ -35,9 +35,9 @@
 //!
 //! ```text
 //! worker → coordinator   Hello { protocol, capabilities, shard, resume_epoch }
-//! coordinator → worker   Ingest { items }                   (one routed chunk)
-//! coordinator → worker   Barrier { epoch: seq, kind: Sync } (its credit request)
-//! worker → coordinator   BarrierAck { shard, epoch: seq }   (the credit)
+//! coordinator → worker   Ingest { items }                   (one routed piece)
+//! coordinator → worker   Barrier { epoch: seq, kind: Sync } (its flow-control mark)
+//! worker → coordinator   BarrierAck { shard, epoch: seq }   (the piece is applied)
 //! coordinator → worker   Barrier { epoch, kind }
 //! worker → coordinator   BarrierAck { shard, epoch, snapshot? }
 //! coordinator → worker   Shutdown                           (clean exit)
@@ -59,10 +59,11 @@
 //! coordinator; a `CheckpointPublish` barrier does both — one barrier
 //! round feeds the on-disk chain *and* the query plane's snapshot cache.
 //! A `Sync` barrier is flow control, not a cut: the worker acks it at once
-//! with no snapshot, and the coordinator ships a worker's next chunk only
-//! once every earlier `Sync` is acked, so at most one chunk is ever
-//! unacknowledged on a link. Its `epoch` field is a per-link sequence
-//! number, not a job epoch. `Hello::resume_epoch` reports the checkpoint
+//! with no snapshot. The coordinator follows every piece it ships (at most
+//! `RUNTIME_CHUNK` updates) with a `Sync`, and ships a worker's next piece
+//! only once at most `RING_CAPACITY` (two) earlier `Sync`s are unacked:
+//! the in-process runtime's lead rule (`tps_core::runtime`). Its `epoch`
+//! field is a per-link sequence number, not a job epoch. `Hello::resume_epoch` reports the checkpoint
 //! epoch a restarted worker recovered to (`0` = fresh start), which tells
 //! the coordinator exactly which chunks to re-send.
 //!
@@ -138,8 +139,8 @@ pub mod caps {
     /// server-side `Hello` on query-plane connections; a client asking
     /// for a cached answer checks this bit before trusting the reply.
     pub const CACHED_QUERY: u64 = 1 << 2;
-    /// The worker acks [`super::BarrierKind::Sync`] barriers, the
-    /// coordinator's one-chunk credit window on every ingest link.
+    /// The worker acks [`super::BarrierKind::Sync`] barriers, which bound
+    /// the coordinator's lead on every ingest link.
     pub const CREDIT: u64 = 1 << 3;
     /// The query plane serves many `Query` turns on one connection (a
     /// session): after its one `Hello` it answers each query in turn
@@ -179,7 +180,7 @@ pub enum BarrierKind {
     /// checkpoint barrier also feeds the published snapshot cache in the
     /// same round.
     CheckpointPublish,
-    /// Ack at once with no snapshot: a flow-control credit. It appends no
+    /// Ack at once with no snapshot: a flow-control mark. It appends no
     /// checkpoint frame, and its `epoch` is the link's sequence number,
     /// not a job epoch.
     Sync,
@@ -837,6 +838,15 @@ pub fn write_message<W: Write>(w: &mut W, msg: &WireMessage) -> io::Result<()> {
 /// [`WireError::Io`] with [`io::ErrorKind::UnexpectedEof`]. The length
 /// prefix is validated against [`MAX_MESSAGE_LEN`] before any allocation.
 pub fn read_message<R: Read>(r: &mut R) -> Result<Option<WireMessage>, WireError> {
+    read_message_within(r, MAX_MESSAGE_LEN)
+}
+
+/// [`read_message`] under a smaller cap (a larger one still stops at
+/// [`MAX_MESSAGE_LEN`]): a length prefix over `cap` fails
+/// as [`CodecError::Truncated`] with `needed` the prefix and `remaining`
+/// the cap, before any allocation and before a byte of the frame is read.
+/// For peers that only ever send small frames, such as query clients.
+pub fn read_message_within<R: Read>(r: &mut R, cap: u32) -> Result<Option<WireMessage>, WireError> {
     let mut prefix = [0u8; 4];
     // Hand-rolled first read so EOF at a message boundary is `None` while
     // EOF inside the prefix is still an error.
@@ -856,10 +866,11 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<Option<WireMessage>, WireError
         }
     }
     let len = u32::from_le_bytes(prefix);
-    if len > MAX_MESSAGE_LEN {
+    let cap = cap.min(MAX_MESSAGE_LEN);
+    if len > cap {
         return Err(WireError::Codec(CodecError::Truncated {
             needed: u64::from(len),
-            remaining: u64::from(MAX_MESSAGE_LEN),
+            remaining: u64::from(cap),
         }));
     }
     let mut frame = vec![0u8; len as usize];

@@ -32,7 +32,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use super::{read_message, write_message, WireError, WireMessage};
+use super::{read_message_within, write_message, WireError, WireMessage, MAX_MESSAGE_LEN};
 
 /// The next sleep in the bounded accept-poll backoff schedule: doubling
 /// from [`POLL_BACKOFF_FLOOR`] up to [`POLL_BACKOFF_CAP`].
@@ -87,6 +87,8 @@ pub trait Listener {
 pub struct FramedConnection<R: Read, W: Write> {
     reader: BufReader<R>,
     writer: BufWriter<W>,
+    /// The largest frame `recv` accepts; [`MAX_MESSAGE_LEN`] unless set.
+    frame_cap: u32,
 }
 
 impl<R: Read, W: Write> FramedConnection<R, W> {
@@ -95,7 +97,15 @@ impl<R: Read, W: Write> FramedConnection<R, W> {
         Self {
             reader: BufReader::new(reader),
             writer: BufWriter::new(writer),
+            frame_cap: MAX_MESSAGE_LEN,
         }
+    }
+
+    /// Caps the frames `recv` accepts at `cap` bytes (see
+    /// [`super::read_message_within`]): a longer length prefix fails the
+    /// read before anything is allocated for it.
+    pub fn set_frame_cap(&mut self, cap: u32) {
+        self.frame_cap = cap;
     }
 }
 
@@ -105,7 +115,7 @@ impl<R: Read, W: Write> Connection for FramedConnection<R, W> {
     }
 
     fn recv(&mut self) -> Result<Option<WireMessage>, WireError> {
-        read_message(&mut self.reader)
+        read_message_within(&mut self.reader, self.frame_cap)
     }
 }
 
