@@ -1,17 +1,17 @@
 //! Ablation benchmarks for the design choices called out in `DESIGN.md` §4:
 //!
-//! 1. normaliser choice for `p ∈ (1, 2]` — deterministic Misra–Gries vs the
-//!    SpaceSaving alternative (both valid; compares ingest cost),
+//! 1. the cost of the deterministic Misra–Gries normaliser for
+//!    `p ∈ (1, 2]`,
 //! 2. the shared-offsets `O(1)`-update framework vs naive per-instance
 //!    reservoir units with their own counters,
-//! 3. per-item reservoir coin vs skip-ahead reservoir sampling.
+//! 3. the per-item reservoir coin.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Duration;
 use tps_core::framework::{MisraGriesNormalizer, TrulyPerfectGSampler};
 use tps_core::sampler_unit::SamplerUnit;
-use tps_random::{default_rng, ReservoirSampler, SkipReservoirSampler};
-use tps_sketches::{MisraGries, SpaceSaving};
+use tps_random::{default_rng, ReservoirSampler};
+use tps_sketches::MisraGries;
 use tps_streams::generators::zipfian_stream;
 use tps_streams::{Lp, StreamSampler};
 
@@ -32,15 +32,6 @@ fn bench_normalizers(c: &mut Criterion) {
                 mg.update(x);
             }
             mg.max_frequency_upper_bound()
-        })
-    });
-    group.bench_function("space_saving_64", |b| {
-        b.iter(|| {
-            let mut ss = SpaceSaving::new(64);
-            for &x in &stream {
-                ss.update(x);
-            }
-            ss.max_frequency_upper_bound()
         })
     });
     group.finish();
@@ -99,16 +90,6 @@ fn bench_reservoir_variants(c: &mut Criterion) {
                 reservoir.offer(&mut rng, x);
             }
             reservoir.single().map(|s| s.value)
-        })
-    });
-    group.bench_function("skip_ahead", |b| {
-        b.iter(|| {
-            let mut rng = default_rng(33);
-            let mut reservoir = SkipReservoirSampler::new();
-            for &x in &stream {
-                reservoir.offer(&mut rng, x);
-            }
-            reservoir.current().map(|s| s.value)
         })
     });
     group.finish();

@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 use tps_core::lp::TrulyPerfectLpSampler;
-use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
+use tps_core::sharded::ShardedSamplerBuilder;
 use tps_random::default_rng;
 use tps_streams::generators::zipfian_stream;
 use tps_streams::StreamSampler;
@@ -43,7 +43,6 @@ fn bench_sharded_ingest(c: &mut Criterion) {
             |b, &shards| {
                 b.iter(|| {
                     let mut sharded = ShardedSamplerBuilder::new(shards)
-                        .strategy(ShardingStrategy::Hash)
                         .seed(5)
                         .build(|idx| TrulyPerfectLpSampler::new(2.0, 4_096, 0.1, 40 + idx as u64));
                     sharded.update_batch(&stream);
@@ -53,20 +52,6 @@ fn bench_sharded_ingest(c: &mut Criterion) {
             },
         );
     }
-
-    // Round-robin comparator: perfect balance, no per-item hash in the
-    // scatter pass (exact for L1-style constant-increment measures).
-    group.bench_with_input(BenchmarkId::new("round_robin_sharded", 4), &4, |b, _| {
-        b.iter(|| {
-            let mut sharded = ShardedSamplerBuilder::new(4)
-                .strategy(ShardingStrategy::RoundRobin)
-                .seed(5)
-                .build(|idx| TrulyPerfectLpSampler::new(1.0, 4_096, 0.1, 60 + idx as u64));
-            sharded.update_batch(&stream);
-            sharded.flush();
-            sharded.processed()
-        })
-    });
     group.finish();
 }
 

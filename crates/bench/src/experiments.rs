@@ -785,7 +785,7 @@ pub struct ShardedScaling {
 /// [`ShardedSampler::flush`](tps_core::sharded::ShardedSampler::flush) so
 /// enqueued-but-unapplied chunks cannot flatter the wall clock.
 pub fn e12_sharded(stream_length: usize, universe: u64, shard_counts: &[usize]) -> ShardedScaling {
-    use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy, RUNTIME_CHUNK};
+    use tps_core::sharded::{ShardedSamplerBuilder, RUNTIME_CHUNK};
 
     let mut rng = default_rng(1_200);
     let stream = zipfian_stream(&mut rng, universe, stream_length, 1.1);
@@ -808,7 +808,6 @@ pub fn e12_sharded(stream_length: usize, universe: u64, shard_counts: &[usize]) 
             let mut best_critical = f64::MIN_POSITIVE;
             for rep in 0..repetitions {
                 let mut sharded = ShardedSamplerBuilder::new(shards)
-                    .strategy(ShardingStrategy::Hash)
                     .seed(33 + rep)
                     .build(|idx| {
                         TrulyPerfectLpSampler::new(
@@ -942,7 +941,7 @@ pub struct RuntimeReport {
 
 /// Hash route of the scoped-thread comparator: splitmix64 finaliser +
 /// Lemire range reduction, byte-identical to `ShardedSampler`'s hash
-/// strategy so both legs of E13 ingest identical per-shard substreams.
+/// routing so both legs of E13 ingest identical per-shard substreams.
 fn scoped_shard_of(item: u64, shards: usize) -> usize {
     let mut z = item.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -999,7 +998,7 @@ fn scoped_two_phase_ingest(shards: &mut [TrulyPerfectLpSampler], batch: &[u64]) 
 /// comparison run on the same host within the same call, so the recorded
 /// *ratios* transfer across runners.
 pub fn e13_runtime(stream_length: usize, universe: u64, shard_counts: &[usize]) -> RuntimeReport {
-    use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
+    use tps_core::sharded::ShardedSamplerBuilder;
 
     let batch_len = 64 * 1024;
     let mut rng = default_rng(1_300);
@@ -1016,7 +1015,6 @@ pub fn e13_runtime(stream_length: usize, universe: u64, shard_counts: &[usize]) 
             let mut best_scoped = f64::MIN_POSITIVE;
             for rep in 0..repetitions {
                 let mut sharded = ShardedSamplerBuilder::new(shards)
-                    .strategy(ShardingStrategy::Hash)
                     .seed(55 + rep)
                     .build(|idx| new_shard(rep, idx));
                 let start = Instant::now();
@@ -1063,7 +1061,6 @@ pub fn e13_runtime(stream_length: usize, universe: u64, shard_counts: &[usize]) 
     let mut clone_merge_queries = 0usize;
     for rep in 0..repetitions {
         let mut quiet = ShardedSamplerBuilder::new(iq_shards)
-            .strategy(ShardingStrategy::Hash)
             .seed(55 + rep)
             .build(|idx| new_shard(rep, idx));
         let start = Instant::now();
@@ -1075,7 +1072,6 @@ pub fn e13_runtime(stream_length: usize, universe: u64, shard_counts: &[usize]) 
         best_quiet = best_quiet.max(rate);
 
         let mut querying = ShardedSamplerBuilder::new(iq_shards)
-            .strategy(ShardingStrategy::Hash)
             .seed(55 + rep)
             .build(|idx| new_shard(rep, idx));
         let start = Instant::now();

@@ -44,9 +44,9 @@
 //! * [`composition`] — the composition / privacy-drift harness from the
 //!   paper's motivation: measuring how sampling error accumulates across
 //!   many independent runs.
-//! * [`sharded`] — the scatter-gather front-end: hash- or round-robin-
-//!   partitioned parallel ingest across `k` shard instances, answered by
-//!   query-time merging (`tps_streams::MergeableSampler`).
+//! * [`sharded`] — the scatter-gather front-end: hash-partitioned parallel
+//!   ingest across `k` shard instances, answered by query-time merging
+//!   (`tps_streams::MergeableSampler`).
 //! * [`runtime`] — the consistent-cut protocol under [`sharded`] and the
 //!   ingest service: the `ShardLink` seam, the barrier collector
 //!   `barrier_all`, and the in-thread `RingLink` (one long-lived worker

@@ -24,8 +24,8 @@ use tps_random::{exponential::indexed_exponential, KWiseHash, StreamRng, Xoshiro
 use tps_streams::space::{hashset_bytes, vec_bytes};
 use tps_streams::{Item, SampleOutcome, SpaceUsage, StreamSampler};
 
-/// A small CountSketch over real-valued updates, private to the baseline
-/// (the shared [`tps_sketches::CountSketch`] is integer-valued).
+/// A small Count-Sketch over real-valued updates, private to the baseline:
+/// the baseline is its only user.
 #[derive(Debug, Clone)]
 struct FloatCountSketch {
     rows: usize,
@@ -78,7 +78,7 @@ impl FloatCountSketch {
 /// Every stream update to coordinate `i` is expanded into `duplication`
 /// updates to virtual coordinates `(i, j)`, each scaled by
 /// `1/E_{i,j}^{1/p}` for a per-coordinate exponential variable derived
-/// deterministically from the seed, and fed to a CountSketch. At query time
+/// deterministically from the seed, and fed to a Count-Sketch. At query time
 /// the sampler reports the coordinate whose duplicated, scaled estimate is
 /// largest. The output distribution approaches `|f_i|^p/F_p` as
 /// `duplication → ∞` and the sketch grows; for finite parameters it carries

@@ -11,16 +11,15 @@
 //!
 //! ## Routing and exactness
 //!
-//! * [`ShardingStrategy::Hash`] (the default) routes every occurrence of an
-//!   item to the same shard. Merged suffix counts are then exact, so the
-//!   sharded sampler is **distributionally equivalent** to a single
-//!   instance over the interleaved stream for *every* measure `G` (and for
-//!   the `F_0` sampler, whose shards must share one seed so their pre-drawn
-//!   subsets coincide — see `TrulyPerfectF0Sampler`'s merge docs).
-//! * [`ShardingStrategy::RoundRobin`] balances load perfectly regardless of
-//!   skew but splits an item's occurrences across shards; it is exact for
-//!   constant-increment measures (`L_1`, where acceptance ignores suffix
-//!   counts) and an approximation otherwise.
+//! Every update is routed by a fixed hash of its item ([`hash_route`]), so
+//! every occurrence of an item lands on the same shard. Merged suffix
+//! counts are then exact, and the sharded sampler is **distributionally
+//! equivalent** to a single instance over the interleaved stream for
+//! *every* measure `G` (and for the `F_0` sampler, whose shards must share
+//! one seed so their pre-drawn subsets coincide — see
+//! `TrulyPerfectF0Sampler`'s merge docs). A partition that split an item's
+//! occurrences would be exact only for constant-increment measures
+//! (`tps_streams::merge` states the law), so none is offered.
 //!
 //! ## Query semantics (consistent cuts)
 //!
@@ -47,8 +46,8 @@
 //!
 //! ## Construction and configuration
 //!
-//! The front door is [`ShardedSampler::builder`]: shard count, routing
-//! strategy, seed and parallel cutoff as named setters, then
+//! The front door is [`ShardedSampler::builder`]: shard count, seed and
+//! parallel cutoff as named setters, then
 //! [`ShardedSamplerBuilder::build`] with the per-shard factory. Flow
 //! control is not a knob: when a shard's ring fills, ingest blocks until
 //! that worker drains a slot, so every routed update is applied and
@@ -68,16 +67,16 @@ use tps_streams::{
     StreamSampler, StreamUpdate, TurnstileSampler, UpdateSampler,
 };
 
-/// How [`ShardedSampler`] routes updates to shards.
+/// How [`ShardedSampler`] routes updates to shards. Hash routing is the
+/// only strategy, because it is the only one exact for every measure (see
+/// the module docs). The enum and [`ShardedSamplerBuilder::strategy`]
+/// remain so that callers which name the strategy keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardingStrategy {
     /// Route by a fixed hash of the item: all occurrences of an item land
     /// on one shard, making merged suffix counts — and therefore the merged
     /// output distribution — exact for every measure.
     Hash,
-    /// Route cyclically: perfect load balance under any skew, exact for
-    /// constant-increment measures only.
-    RoundRobin,
 }
 
 /// The splitmix64 finalizer: the same mixer the workspace's internal maps
@@ -98,11 +97,11 @@ fn route(hash: u64, shards: usize) -> usize {
     (((hash as u128) * (shards as u128)) >> 64) as usize
 }
 
-/// The shard index an item lands on under [`ShardingStrategy::Hash`] with
-/// `shards` shards — the routing function itself, exposed so *external*
-/// partitioners (e.g. a multi-process ingest service splitting one stream
-/// across worker processes) route exactly like an in-process
-/// [`ShardedSampler`] and the merged answers line up byte for byte.
+/// The shard index an item lands on with `shards` shards — the routing
+/// function itself, exposed so *external* partitioners (e.g. a
+/// multi-process ingest service splitting one stream across worker
+/// processes) route exactly like an in-process [`ShardedSampler`] and the
+/// merged answers line up byte for byte.
 #[inline]
 pub fn hash_route(item: Item, shards: usize) -> usize {
     route(mix(item), shards)
@@ -167,11 +166,10 @@ pub const RUNTIME_CHUNK: usize = 8 * 1024;
 /// Every knob has a sensible default; only the shard count is mandatory:
 ///
 /// ```
-/// use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
+/// use tps_core::sharded::ShardedSamplerBuilder;
 /// use tps_core::lp::TrulyPerfectLpSampler;
 ///
 /// let sampler = ShardedSamplerBuilder::new(4)
-///     .strategy(ShardingStrategy::Hash)
 ///     .seed(42)
 ///     .build(|shard| TrulyPerfectLpSampler::new(2.0, 512, 0.1, 42 ^ ((shard as u64) << 32)));
 /// assert_eq!(sampler.shard_count(), 4);
@@ -179,15 +177,13 @@ pub const RUNTIME_CHUNK: usize = 8 * 1024;
 #[derive(Debug, Clone)]
 pub struct ShardedSamplerBuilder {
     shards: usize,
-    strategy: ShardingStrategy,
     seed: u64,
     parallel_cutoff: usize,
 }
 
 impl ShardedSamplerBuilder {
-    /// Starts a builder for `shards` shard instances. Defaults:
-    /// [`ShardingStrategy::Hash`], seed `0` and a 4096-item-per-shard
-    /// parallel cutoff.
+    /// Starts a builder for `shards` shard instances. Defaults: seed `0`
+    /// and a 4096-item-per-shard parallel cutoff.
     ///
     /// # Panics
     ///
@@ -196,16 +192,15 @@ impl ShardedSamplerBuilder {
         assert!(shards > 0, "need at least one shard");
         Self {
             shards,
-            strategy: ShardingStrategy::Hash,
             seed: 0,
             parallel_cutoff: PARALLEL_MIN_PER_SHARD,
         }
     }
 
-    /// Routing strategy (see [`ShardingStrategy`] for the exactness
-    /// trade-off).
-    pub fn strategy(mut self, strategy: ShardingStrategy) -> Self {
-        self.strategy = strategy;
+    /// Names the routing strategy. [`ShardingStrategy::Hash`] is the only
+    /// one, so this changes nothing; it stays for callers that spell the
+    /// strategy out.
+    pub fn strategy(self, _strategy: ShardingStrategy) -> Self {
         self
     }
 
@@ -270,8 +265,6 @@ impl ShardedSamplerBuilder {
         ShardedSampler {
             runtime: None,
             shards: (0..self.shards).map(|idx| shared(factory(idx))).collect(),
-            strategy: self.strategy,
-            cursor: 0,
             scratch: Vec::new(),
             rng: Xoshiro256::seed_from_u64(self.seed ^ MERGE_SEED_SALT),
             processed: 0,
@@ -366,9 +359,6 @@ pub struct ShardedSampler<S, U: StreamUpdate = Item> {
     /// Shard states, each shared with its ring link's worker while the
     /// runtime is live.
     shards: Vec<Arc<Mutex<S>>>,
-    strategy: ShardingStrategy,
-    /// Round-robin cursor: the shard the next update is routed to.
-    cursor: usize,
     /// Transient per-shard scatter buffers for the sequential (pre-runtime)
     /// batch path; never holds data across calls and never serialised.
     scratch: Vec<Vec<U>>,
@@ -427,11 +417,6 @@ where
         self.processed
     }
 
-    /// The routing strategy.
-    pub fn strategy(&self) -> ShardingStrategy {
-        self.strategy
-    }
-
     /// Whether the persistent worker pool is live.
     pub fn runtime_active(&self) -> bool {
         self.runtime.is_some()
@@ -472,7 +457,7 @@ where
         lock(&self.shards[idx])
     }
 
-    /// The shard index an item is routed to under [`ShardingStrategy::Hash`].
+    /// The shard index an item is routed to.
     #[inline]
     pub fn hash_shard_of(&self, item: Item) -> usize {
         route(mix(item), self.shards.len())
@@ -516,8 +501,6 @@ where
     /// over chunk boundaries unchanged.
     fn scatter_to_runtime(&mut self, updates: &[U]) {
         let k = self.shards.len();
-        let strategy = self.strategy;
-        let mut cursor = self.cursor;
         let state = self
             .runtime
             .as_mut()
@@ -525,17 +508,7 @@ where
             .get_mut()
             .unwrap();
         for &update in updates {
-            let shard = match strategy {
-                ShardingStrategy::Hash => route(mix(update.route_key()), k),
-                ShardingStrategy::RoundRobin => {
-                    let shard = cursor;
-                    cursor += 1;
-                    if cursor == k {
-                        cursor = 0;
-                    }
-                    shard
-                }
-            };
+            let shard = route(mix(update.route_key()), k);
             let buffer = &mut state.staging[shard];
             buffer.push(update);
             if buffer.len() >= RUNTIME_CHUNK {
@@ -543,7 +516,6 @@ where
                 *buffer = state.links[shard].ship(chunk).expect("rings never err");
             }
         }
-        self.cursor = cursor;
     }
 
     /// Routes one update to its shard — the kind-generic ingest surface
@@ -556,14 +528,7 @@ where
             self.scatter_to_runtime(std::slice::from_ref(&update));
             return;
         }
-        let shard = match self.strategy {
-            ShardingStrategy::Hash => route(mix(update.route_key()), self.shards.len()),
-            ShardingStrategy::RoundRobin => {
-                let shard = self.cursor;
-                self.cursor = (self.cursor + 1) % self.shards.len();
-                shard
-            }
-        };
+        let shard = route(mix(update.route_key()), self.shards.len());
         self.shard_mut(shard).ingest(update);
     }
 
@@ -598,11 +563,7 @@ where
         for buffer in &mut self.scratch {
             buffer.clear();
         }
-        let cursor = self.cursor;
-        scatter_chunk(updates, &mut self.scratch, self.strategy, cursor);
-        if self.strategy == ShardingStrategy::RoundRobin {
-            self.cursor = (cursor + updates.len()) % k;
-        }
+        scatter_chunk(updates, &mut self.scratch);
         let scratch = std::mem::take(&mut self.scratch);
         for (shard, buffer) in scratch.iter().enumerate() {
             if !buffer.is_empty() {
@@ -678,15 +639,8 @@ where
     }
 }
 
-/// Scatters one chunk into `k` per-shard buffers. `base` is the chunk's
-/// global offset within the batch (plus the round-robin cursor), so cyclic
-/// routing reproduces the per-update loop's assignment exactly.
-fn scatter_chunk<U: StreamUpdate>(
-    chunk: &[U],
-    buffers: &mut [Vec<U>],
-    strategy: ShardingStrategy,
-    base: usize,
-) {
+/// Scatters one chunk into `k` per-shard buffers, each in stream order.
+fn scatter_chunk<U: StreamUpdate>(chunk: &[U], buffers: &mut [Vec<U>]) {
     let k = buffers.len();
     // Pre-size for a balanced split plus 50% skew headroom, so growth
     // reallocations stay off the scatter path.
@@ -694,17 +648,8 @@ fn scatter_chunk<U: StreamUpdate>(
     for buffer in buffers.iter_mut() {
         buffer.reserve(hint);
     }
-    match strategy {
-        ShardingStrategy::Hash => {
-            for &update in chunk {
-                buffers[route(mix(update.route_key()), k)].push(update);
-            }
-        }
-        ShardingStrategy::RoundRobin => {
-            for (offset, &update) in chunk.iter().enumerate() {
-                buffers[(base + offset) % k].push(update);
-            }
-        }
+    for &update in chunk {
+        buffers[route(mix(update.route_key()), k)].push(update);
     }
 }
 
@@ -746,11 +691,8 @@ where
 
     /// Same routed ingest path as the insertion-only impl, over signed
     /// updates: an update is routed by its *coordinate*
-    /// ([`StreamUpdate::route_key`]), so under [`ShardingStrategy::Hash`]
-    /// every update touching an item lands on one shard and merged
-    /// frequencies are exact. For shard types whose merge is linear in the
-    /// update stream (the turnstile `F_0` sampler), round-robin routing is
-    /// exact too.
+    /// ([`StreamUpdate::route_key`]), so every update touching an item
+    /// lands on one shard and merged frequencies are exact.
     fn update_batch(&mut self, updates: &[SignedUpdate]) {
         self.ingest_batch(updates);
     }
@@ -779,8 +721,6 @@ where
                 .iter()
                 .map(|s| shared(lock(s).clone()))
                 .collect(),
-            strategy: self.strategy,
-            cursor: self.cursor,
             scratch: Vec::new(),
             rng: self.rng.clone(),
             processed: self.processed,
@@ -808,8 +748,6 @@ where
         self.quiesce();
         let shards: Vec<_> = self.shards.iter().map(|s| lock(s)).collect();
         f.debug_struct("ShardedSampler")
-            .field("strategy", &self.strategy)
-            .field("cursor", &self.cursor)
             .field("processed", &self.processed)
             .field("epoch", &self.epoch)
             .field("runtime_active", &self.runtime.is_some())
@@ -819,11 +757,11 @@ where
     }
 }
 
-/// Wire format (v2): the router configuration (strategy, then — new in
-/// format version 2 — a legacy backpressure byte, the parallel cutoff and a
-/// legacy runtime chunk length, then round-robin cursor, processed count,
-/// merge-coin RNG position) followed by each shard's own snapshot.
-/// Worker-pool state is operational, not logical: encoding quiesces the
+/// Wire format (v2): the router configuration (strategy byte, then — new
+/// in format version 2 — a legacy backpressure byte, the parallel cutoff
+/// and a legacy runtime chunk length, then a legacy round-robin cursor, the
+/// processed count and the merge-coin RNG position) followed by each
+/// shard's own snapshot. Worker-pool state is operational, not logical: encoding quiesces the
 /// pool and ships only the shard states, and a restored sampler starts with
 /// a cold runtime and the parallel cutoff it was built with (v1 snapshots
 /// migrate with the frozen v1 defaults spliced in; see
@@ -837,6 +775,12 @@ where
 /// validates both so snapshots from older writers restore, then ignores
 /// them: a restored sampler blocks and ships `RUNTIME_CHUNK`-sized chunks,
 /// and by the batch ≡ loop law chunk size cannot change shard state.
+///
+/// The strategy byte and cursor word date from when round-robin routing
+/// existed. The encoder writes `0` (hash) and a zero cursor, and the
+/// decoder rejects anything else as [`CodecError::InvalidValue`]: a
+/// round-robin snapshot's shards hold split item frequencies, which no
+/// hash-routed sampler can continue exactly.
 ///
 /// Because each shard is itself a complete snapshot of a mergeable
 /// sampler, the per-shard records can also be shipped to *different*
@@ -853,14 +797,11 @@ where
     fn encode_into(&self, w: &mut SnapshotWriter) {
         self.quiesce();
         w.put_tag(Self::TAG);
-        w.put_u8(match self.strategy {
-            ShardingStrategy::Hash => 0,
-            ShardingStrategy::RoundRobin => 1,
-        });
+        w.put_u8(0);
         w.put_u8(0);
         w.put_usize(self.parallel_cutoff);
         w.put_u64(codec::migrate::V1_SHARDED_CHUNK_LEN);
-        w.put_usize(self.cursor);
+        w.put_u64(0);
         w.put_u64(self.processed);
         self.rng.encode_into(w);
         w.put_len(self.shards.len());
@@ -877,15 +818,11 @@ where
 {
     fn decode_from(r: &mut SnapshotReader<'_>) -> Result<Self, CodecError> {
         r.expect_tag(Self::TAG)?;
-        let strategy = match r.get_u8()? {
-            0 => ShardingStrategy::Hash,
-            1 => ShardingStrategy::RoundRobin,
-            _ => {
-                return Err(CodecError::InvalidValue {
-                    what: "sharding strategy flag must be 0 or 1",
-                })
-            }
-        };
+        if r.get_u8()? != 0 {
+            return Err(CodecError::InvalidValue {
+                what: "sharding strategy flag must be 0 (hash)",
+            });
+        }
         // Legacy backpressure byte (0 block, 1 spill, 2 fail): validated,
         // then ignored — the runtime always blocks.
         if r.get_u8()? > 2 {
@@ -901,7 +838,12 @@ where
                 what: "parallel cutoff and chunk length must be positive",
             });
         }
-        let cursor = r.get_usize()?;
+        // Legacy round-robin cursor: always zero under hash routing.
+        if r.get_u64()? != 0 {
+            return Err(CodecError::InvalidValue {
+                what: "round-robin cursor must be 0",
+            });
+        }
         let processed = r.get_u64()?;
         let rng = Xoshiro256::decode_from(r)?;
         let count = r.get_len(1)?;
@@ -912,11 +854,6 @@ where
         if count == 0 || count > MAX_SHARDS {
             return Err(CodecError::InvalidValue {
                 what: "shard count out of range",
-            });
-        }
-        if cursor >= count {
-            return Err(CodecError::InvalidValue {
-                what: "round-robin cursor outside the shard range",
             });
         }
         let mut shards: Vec<S> = Vec::with_capacity(count);
@@ -940,8 +877,6 @@ where
         Ok(Self {
             runtime: None,
             shards: shards.into_iter().map(shared).collect(),
-            strategy,
-            cursor,
             // Sized lazily by the first sequential batch — never inside
             // the decoder.
             scratch: Vec::new(),
@@ -1009,20 +944,34 @@ mod tests {
             .collect()
     }
 
-    fn sharded_l2(
-        shards: usize,
-        strategy: ShardingStrategy,
-        seed: u64,
-    ) -> ShardedSampler<TrulyPerfectLpSampler> {
+    /// A `zipfish_stream`-shaped stream whose updates cycle through the
+    /// shards: update `i` is an item that [`hash_route`] sends to shard
+    /// `i % shards`, so every shard gets an equal share.
+    fn balanced_stream(len: usize, universe: u64, shards: usize) -> Vec<Item> {
+        let mut pools = vec![Vec::new(); shards];
+        for item in 0..universe {
+            pools[hash_route(item, shards)].push(item);
+        }
+        assert!(pools.iter().all(|pool| !pool.is_empty()));
+        zipfish_stream(len, universe)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let pool = &pools[i % shards];
+                pool[x as usize % pool.len()]
+            })
+            .collect()
+    }
+
+    fn sharded_l2(shards: usize, seed: u64) -> ShardedSampler<TrulyPerfectLpSampler> {
         ShardedSamplerBuilder::new(shards)
-            .strategy(strategy)
             .seed(seed)
             .build(|idx| TrulyPerfectLpSampler::new(2.0, 512, 0.1, seed ^ ((idx as u64) << 32)))
     }
 
     #[test]
     fn hash_routing_keeps_items_on_one_shard() {
-        let mut sharded = sharded_l2(4, ShardingStrategy::Hash, 1);
+        let mut sharded = sharded_l2(4, 1);
         let stream = zipfish_stream(5_000, 97);
         sharded.update_batch(&stream);
         assert_eq!(sharded.processed(), 5_000);
@@ -1041,60 +990,51 @@ mod tests {
     /// draws (which also compares the query RNG position).
     #[test]
     fn sharded_batch_equals_sharded_loop() {
-        for strategy in [ShardingStrategy::Hash, ShardingStrategy::RoundRobin] {
-            let stream = zipfish_stream(3_000, 61);
-            let mut looped = sharded_l2(3, strategy, 7);
-            for &x in &stream {
-                looped.update(x);
-            }
-            let mut batched = sharded_l2(3, strategy, 7);
-            for chunk in stream.chunks(271) {
-                batched.update_batch(chunk);
-            }
-            for draw in 0..6 {
-                assert_eq!(
-                    looped.sample(),
-                    batched.sample(),
-                    "{strategy:?} diverged at draw {draw}"
-                );
-            }
+        let stream = zipfish_stream(3_000, 61);
+        let mut looped = sharded_l2(3, 7);
+        for &x in &stream {
+            looped.update(x);
+        }
+        let mut batched = sharded_l2(3, 7);
+        for chunk in stream.chunks(271) {
+            batched.update_batch(chunk);
+        }
+        for draw in 0..6 {
+            assert_eq!(looped.sample(), batched.sample(), "diverged at draw {draw}");
         }
     }
 
     /// The runtime path (one whole-stream batch above the per-shard
     /// parallelism cutoff) and the
     /// sequential small-batch path (many chunks below it) leave identical
-    /// states — same shard contents, same query RNG position — for both
-    /// routing strategies.
+    /// states — same shard contents, same query RNG position.
     #[test]
     fn runtime_path_equals_sequential_path_and_loop() {
         let len = 3 * PARALLEL_MIN_PER_SHARD + 1_234;
         let stream = zipfish_stream(len, 61);
-        for strategy in [ShardingStrategy::Hash, ShardingStrategy::RoundRobin] {
-            let mut looped = sharded_l2(3, strategy, 21);
-            for &x in &stream {
-                looped.update(x);
-            }
-            let mut sequential = sharded_l2(3, strategy, 21);
-            for piece in stream.chunks(501) {
-                sequential.update_batch(piece);
-            }
-            let mut parallel = sharded_l2(3, strategy, 21);
-            parallel.update_batch(&stream);
-            assert!(parallel.runtime_active(), "cutoff must start the runtime");
-            for draw in 0..6 {
-                let want = looped.sample();
-                assert_eq!(
-                    want,
-                    parallel.sample(),
-                    "{strategy:?} runtime path diverged at draw {draw}"
-                );
-                assert_eq!(
-                    want,
-                    sequential.sample(),
-                    "{strategy:?} sequential path diverged at draw {draw}"
-                );
-            }
+        let mut looped = sharded_l2(3, 21);
+        for &x in &stream {
+            looped.update(x);
+        }
+        let mut sequential = sharded_l2(3, 21);
+        for piece in stream.chunks(501) {
+            sequential.update_batch(piece);
+        }
+        let mut parallel = sharded_l2(3, 21);
+        parallel.update_batch(&stream);
+        assert!(parallel.runtime_active(), "cutoff must start the runtime");
+        for draw in 0..6 {
+            let want = looped.sample();
+            assert_eq!(
+                want,
+                parallel.sample(),
+                "runtime path diverged at draw {draw}"
+            );
+            assert_eq!(
+                want,
+                sequential.sample(),
+                "sequential path diverged at draw {draw}"
+            );
         }
     }
 
@@ -1107,14 +1047,13 @@ mod tests {
     fn multi_chunk_batches_match_sequential_and_loop() {
         const BATCH: usize = 64 * 1024;
         let shards = 2;
-        // Round-robin splits evenly, so every shard gets at least this many
+        // The stream splits evenly, so every shard gets at least this many
         // chunks.
         let chunks_per_shard = crate::runtime::RING_CAPACITY + 4;
         let len = (shards * chunks_per_shard * RUNTIME_CHUNK).next_multiple_of(BATCH);
-        let stream = zipfish_stream(len, 61);
+        let stream = balanced_stream(len, 61, shards);
         let build = |cutoff: usize| {
             ShardedSamplerBuilder::new(shards)
-                .strategy(ShardingStrategy::RoundRobin)
                 .seed(37)
                 .parallel_cutoff(cutoff)
                 .build(|idx| TrulyPerfectLpSampler::new(2.0, 512, 0.1, 37 ^ ((idx as u64) << 32)))
@@ -1167,8 +1106,8 @@ mod tests {
         let len = 3 * PARALLEL_MIN_PER_SHARD;
         let stream = zipfish_stream(2 * len, 61);
         let (first, second) = stream.split_at(len);
-        let mut live = sharded_l2(3, ShardingStrategy::Hash, 33);
-        let mut reference = sharded_l2(3, ShardingStrategy::Hash, 33);
+        let mut live = sharded_l2(3, 33);
+        let mut reference = sharded_l2(3, 33);
         live.update_batch(first);
         assert!(live.runtime_active());
         reference.update_batch(first);
@@ -1189,7 +1128,7 @@ mod tests {
     fn clone_and_snapshot_quiesce_the_live_runtime() {
         let len = 2 * PARALLEL_MIN_PER_SHARD;
         let stream = zipfish_stream(len, 97);
-        let mut live = sharded_l2(2, ShardingStrategy::Hash, 5);
+        let mut live = sharded_l2(2, 5);
         live.update_batch(&stream);
         assert!(live.runtime_active());
         let mut cloned = live.clone();
@@ -1206,23 +1145,14 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_balances_exactly() {
-        let mut sharded = sharded_l2(4, ShardingStrategy::RoundRobin, 3);
-        sharded.update_batch(&zipfish_stream(1_000, 13));
-        for j in 0..4 {
-            assert_eq!(sharded.shard(j).processed(), 250);
-        }
-    }
-
-    #[test]
     fn empty_sharded_sampler_reports_empty() {
-        let mut sharded = sharded_l2(4, ShardingStrategy::Hash, 9);
+        let mut sharded = sharded_l2(4, 9);
         assert_eq!(sharded.sample(), SampleOutcome::Empty);
     }
 
     #[test]
     fn merged_seen_covers_the_whole_stream() {
-        let mut sharded = sharded_l2(5, ShardingStrategy::Hash, 11);
+        let mut sharded = sharded_l2(5, 11);
         sharded.update_batch(&zipfish_stream(4_321, 37));
         assert_eq!(sharded.merged().processed(), 4_321);
     }
@@ -1230,7 +1160,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
-        let _ = sharded_l2(0, ShardingStrategy::Hash, 1);
+        let _ = sharded_l2(0, 1);
     }
 
     /// Snapshots from writers that still had flow-control and chunk-size
@@ -1305,7 +1235,7 @@ mod tests {
     /// runtime starts, and a cold sampler reports all zeros.
     #[test]
     fn runtime_stats_observe_the_pool() {
-        let mut sampler = sharded_l2(2, ShardingStrategy::Hash, 17);
+        let mut sampler = sharded_l2(2, 17);
         assert_eq!(sampler.runtime_stats(), RuntimeStats::default());
         sampler.update_batch(&zipfish_stream(2 * PARALLEL_MIN_PER_SHARD, 61));
         assert!(sampler.runtime_active());
@@ -1319,7 +1249,7 @@ mod tests {
     /// live runtime's chunk buffers and the query cache's merged sampler.
     #[test]
     fn space_bytes_counts_runtime_buffers_and_query_cache() {
-        let mut sampler = sharded_l2(2, ShardingStrategy::Hash, 29);
+        let mut sampler = sharded_l2(2, 29);
         sampler.update_batch(&zipfish_stream(64 * 1024, 61));
         let _ = sampler.query(&QueryOptions::consistent());
         let shards: usize = (0..2).map(|j| sampler.shard(j).space_bytes()).sum();
@@ -1341,7 +1271,7 @@ mod tests {
     fn guards_of_two_shards_do_not_deadlock() {
         let (done, sum) = std::sync::mpsc::channel();
         let reader = std::thread::spawn(move || {
-            let mut sampler = sharded_l2(2, ShardingStrategy::Hash, 41);
+            let mut sampler = sharded_l2(2, 41);
             sampler.update_batch(&zipfish_stream(2 * PARALLEL_MIN_PER_SHARD, 61));
             assert!(sampler.runtime_active());
             let (a, b) = (sampler.shard(0), sampler.shard(1));
@@ -1387,12 +1317,10 @@ mod tests {
                 r.expect_tag(Self::TAG).map(|()| Self(false))
             }
         }
-        let mut sampler = ShardedSamplerBuilder::new(2)
-            .strategy(ShardingStrategy::RoundRobin)
-            .build(|idx| Bomb(idx == 0));
+        let mut sampler = ShardedSamplerBuilder::new(2).build(|idx| Bomb(idx == 0));
         // Starts the runtime but stages less than a chunk per shard, so
         // shard 0's worker first sees an update inside `flush`.
-        sampler.update_batch(&zipfish_stream(2 * PARALLEL_MIN_PER_SHARD, 61));
+        sampler.update_batch(&balanced_stream(2 * PARALLEL_MIN_PER_SHARD, 61, 2));
         assert!(sampler.runtime_active());
         let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sampler.flush()));
         let payload = flushed.expect_err("the worker's panic must surface");
@@ -1406,8 +1334,8 @@ mod tests {
     #[test]
     fn consistent_query_equals_merged() {
         let stream = zipfish_stream(3_000, 61);
-        let mut via_merged = sharded_l2(3, ShardingStrategy::Hash, 13);
-        let mut via_query = sharded_l2(3, ShardingStrategy::Hash, 13);
+        let mut via_merged = sharded_l2(3, 13);
+        let mut via_query = sharded_l2(3, 13);
         via_merged.update_batch(&stream);
         via_query.update_batch(&stream);
         let merged = via_merged.merged();
@@ -1431,8 +1359,8 @@ mod tests {
     #[test]
     fn cached_query_serves_the_published_merge_without_coins() {
         let stream = zipfish_stream(2_000, 61);
-        let mut live = sharded_l2(2, ShardingStrategy::Hash, 23);
-        let mut reference = sharded_l2(2, ShardingStrategy::Hash, 23);
+        let mut live = sharded_l2(2, 23);
+        let mut reference = sharded_l2(2, 23);
         live.update_batch(&stream);
         reference.update_batch(&stream);
         let published = live.query(&QueryOptions::consistent());
@@ -1465,7 +1393,7 @@ mod tests {
     fn stale_cache_escalates_within_the_bound() {
         let stream = zipfish_stream(2_000, 61);
         let (first, second) = stream.split_at(1_000);
-        let mut sampler = sharded_l2(2, ShardingStrategy::Hash, 29);
+        let mut sampler = sharded_l2(2, 29);
         sampler.update_batch(first);
         let published = sampler.query(&QueryOptions::consistent());
         // One more ingest call moves the live epoch past the cache.
@@ -1493,7 +1421,7 @@ mod tests {
     /// state is untouched.
     #[test]
     fn query_cache_is_transient_across_snapshots() {
-        let mut sampler = sharded_l2(2, ShardingStrategy::Hash, 31);
+        let mut sampler = sharded_l2(2, 31);
         sampler.update_batch(&zipfish_stream(1_500, 37));
         let _ = sampler.query(&QueryOptions::consistent());
         assert!(sampler.query(&QueryOptions::cached(0)).cached);
@@ -1528,48 +1456,38 @@ mod tests {
 
     fn sharded_turnstile(
         shards: usize,
-        strategy: ShardingStrategy,
         seed: u64,
     ) -> ShardedSampler<StrictTurnstileF0Sampler, SignedUpdate> {
         // One shared seed across shards: the turnstile merge law requires
         // identical pre-drawn subsets (same reason as the F0 kind).
         ShardedSamplerBuilder::new(shards)
-            .strategy(strategy)
             .seed(seed)
             .build_turnstile(|_idx| StrictTurnstileF0Sampler::new(512, seed))
     }
 
-    /// Sharded turnstile batch ≡ loop ≡ runtime path, for both routing
-    /// strategies (round-robin is exact here: the turnstile merge is
-    /// linear, so any partitioning works).
+    /// Sharded turnstile batch ≡ loop ≡ runtime path.
     #[test]
     fn sharded_turnstile_paths_agree() {
         let stream = signed_stream(3 * PARALLEL_MIN_PER_SHARD, 509);
-        for strategy in [ShardingStrategy::Hash, ShardingStrategy::RoundRobin] {
-            let mut looped = sharded_turnstile(3, strategy, 19);
-            for &u in &stream {
-                looped.update(u);
-            }
-            let mut batched = sharded_turnstile(3, strategy, 19);
-            for chunk in stream.chunks(407) {
-                batched.update_batch(chunk);
-            }
-            let mut parallel = sharded_turnstile(3, strategy, 19);
-            parallel.update_batch(&stream);
-            assert!(parallel.runtime_active(), "cutoff must start the runtime");
-            for draw in 0..4 {
-                let want = looped.sample();
-                assert_eq!(
-                    want,
-                    batched.sample(),
-                    "{strategy:?} batch path diverged at draw {draw}"
-                );
-                assert_eq!(
-                    want,
-                    parallel.sample(),
-                    "{strategy:?} runtime path diverged at draw {draw}"
-                );
-            }
+        let mut looped = sharded_turnstile(3, 19);
+        for &u in &stream {
+            looped.update(u);
+        }
+        let mut batched = sharded_turnstile(3, 19);
+        for chunk in stream.chunks(407) {
+            batched.update_batch(chunk);
+        }
+        let mut parallel = sharded_turnstile(3, 19);
+        parallel.update_batch(&stream);
+        assert!(parallel.runtime_active(), "cutoff must start the runtime");
+        for draw in 0..4 {
+            let want = looped.sample();
+            assert_eq!(want, batched.sample(), "batch path diverged at draw {draw}");
+            assert_eq!(
+                want,
+                parallel.sample(),
+                "runtime path diverged at draw {draw}"
+            );
         }
     }
 
@@ -1582,7 +1500,7 @@ mod tests {
         let stream = signed_stream(4_000, 389);
         let mut single = StrictTurnstileF0Sampler::new(512, 77);
         single.update_batch(&stream);
-        let mut sharded = sharded_turnstile(4, ShardingStrategy::Hash, 77);
+        let mut sharded = sharded_turnstile(4, 77);
         sharded.update_batch(&stream);
         let merged = sharded.merged();
         assert_eq!(
@@ -1599,7 +1517,7 @@ mod tests {
     #[test]
     fn sharded_turnstile_snapshot_round_trips() {
         let stream = signed_stream(3_000, 257);
-        let mut sampler = sharded_turnstile(3, ShardingStrategy::Hash, 5);
+        let mut sampler = sharded_turnstile(3, 5);
         sampler.update_batch(&stream);
         let bytes = sampler.snapshot();
         let mut restored: ShardedSampler<StrictTurnstileF0Sampler, SignedUpdate> =
@@ -1643,13 +1561,9 @@ mod tests {
         // Each half routes about three chunks plus a staged remainder to
         // every shard.
         let half = 9 * RUNTIME_CHUNK + 1_234;
+        check(sharded_l2(3, 29), &zipfish_stream(2 * half, 509), 29);
         check(
-            sharded_l2(3, ShardingStrategy::Hash, 29),
-            &zipfish_stream(2 * half, 509),
-            29,
-        );
-        check(
-            sharded_turnstile(3, ShardingStrategy::Hash, 31),
+            sharded_turnstile(3, 31),
             &signed_stream(2 * half * 3 / 5, 509),
             31,
         );

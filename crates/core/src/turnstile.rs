@@ -317,9 +317,9 @@ impl StrictTurnstileF0Sampler {
 ///
 /// Consequently the merge is **byte-exact for same-seed instances under
 /// *any* partitioning of the update sequence** — stronger than the
-/// insertion-only `F_0` sampler's item-disjoint requirement, and the reason
-/// the sharded front-end can route turnstile streams round-robin as well as
-/// by hash without leaving the exact regime. Merging consumes no coins.
+/// insertion-only `F_0` sampler's item-disjoint requirement. The sharded
+/// front-end still routes turnstile streams by hash, like every other
+/// kind. Merging consumes no coins.
 ///
 /// # Panics
 ///

@@ -1,38 +1,11 @@
-//! Exponential random variables and anti-rank utilities.
+//! Seed-derived exponential random variables.
 //!
 //! The *baseline* perfect `L_p` samplers reproduced from Jayaram–Woodruff
 //! (FOCS 2018) scale each coordinate by `1 / E_i^{1/p}` for independent
-//! exponentials `E_i` and report the coordinate attaining the maximum. The
-//! key distributional fact (Lemma B.3 of the paper, due to Nagaraja) is that
-//! the probability index `i` attains the minimum of `E_i / λ_i` is
-//! `λ_i / Σ_j λ_j`; [`AntiRanks`] exposes exactly that computation for tests.
-
-use crate::StreamRng;
-
-/// Draws a standard (rate 1) exponential random variable via inverse CDF.
-///
-/// The value is strictly positive: the uniform draw is nudged away from 0 so
-/// `ln` never sees an exact zero.
-#[inline]
-pub fn exponential<R: StreamRng>(rng: &mut R) -> f64 {
-    // u ∈ (0, 1]: complementing the [0,1) draw avoids ln(0).
-    let u = 1.0 - rng.next_f64();
-    -u.ln()
-}
-
-/// Draws an exponential random variable with the given rate `λ > 0`.
-///
-/// # Panics
-///
-/// Panics if `rate` is not strictly positive and finite.
-#[inline]
-pub fn exponential_with_rate<R: StreamRng>(rng: &mut R, rate: f64) -> f64 {
-    assert!(
-        rate > 0.0 && rate.is_finite(),
-        "exponential rate must be positive"
-    );
-    exponential(rng) / rate
-}
+//! exponentials `E_i` and report the coordinate attaining the maximum. They
+//! need `E_i` to be the same variable every time coordinate `i` is updated,
+//! so [`indexed_exponential`] derives it from a seed and the index instead
+//! of storing it.
 
 /// Deterministically derives a per-coordinate standard exponential from a
 /// seed and an index, so that repeated updates to the same coordinate see the
@@ -46,100 +19,9 @@ pub fn indexed_exponential(seed: u64, index: u64) -> f64 {
     -u.ln()
 }
 
-/// Anti-rank computations over a collection of scaled exponentials.
-///
-/// Given weights `λ_1, ..., λ_n`, the variable `E_i / λ_i` (with `E_i`
-/// standard exponentials) attains its minimum at index `i` with probability
-/// `λ_i / Σ λ_j`. Equivalently, for the `L_p` sampler's scaling
-/// `|f_i| / E_i^{1/p}`, the maximum is attained with probability
-/// `|f_i|^p / Σ_j |f_j|^p`.
-#[derive(Debug, Clone)]
-pub struct AntiRanks {
-    weights: Vec<f64>,
-}
-
-impl AntiRanks {
-    /// Creates the helper from non-negative weights (`λ_i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any weight is negative or non-finite.
-    pub fn new(weights: Vec<f64>) -> Self {
-        assert!(
-            weights.iter().all(|w| *w >= 0.0 && w.is_finite()),
-            "weights must be non-negative and finite"
-        );
-        Self { weights }
-    }
-
-    /// The exact probability that index `i` attains the minimum of
-    /// `E_i / λ_i` (Lemma B.3). Returns 0 when all weights are zero.
-    pub fn min_probability(&self, i: usize) -> f64 {
-        let total: f64 = self.weights.iter().sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.weights[i] / total
-    }
-
-    /// Samples the arg-min of `E_i / λ_i` by explicitly drawing the
-    /// exponentials. Returns `None` if every weight is zero.
-    pub fn sample_argmin<R: StreamRng>(&self, rng: &mut R) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &w) in self.weights.iter().enumerate() {
-            if w <= 0.0 {
-                continue;
-            }
-            let value = exponential(rng) / w;
-            match best {
-                Some((_, b)) if value >= b => {}
-                _ => best = Some((i, value)),
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// Number of weights.
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Whether the collection is empty.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::default_rng;
-
-    #[test]
-    fn exponential_mean_is_one() {
-        let mut rng = default_rng(2);
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| exponential(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_with_rate_scales_mean() {
-        let mut rng = default_rng(3);
-        let n = 200_000;
-        let mean: f64 = (0..n)
-            .map(|_| exponential_with_rate(&mut rng, 4.0))
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn zero_rate_panics() {
-        let mut rng = default_rng(4);
-        let _ = exponential_with_rate(&mut rng, 0.0);
-    }
 
     #[test]
     fn indexed_exponential_is_consistent() {
@@ -149,33 +31,5 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a > 0.0);
-    }
-
-    #[test]
-    fn antirank_min_probability_matches_empirical() {
-        let weights = vec![1.0, 2.0, 3.0, 4.0];
-        let helper = AntiRanks::new(weights);
-        let mut rng = default_rng(6);
-        let trials = 100_000;
-        let mut counts = [0usize; 4];
-        for _ in 0..trials {
-            counts[helper.sample_argmin(&mut rng).unwrap()] += 1;
-        }
-        for (i, &count) in counts.iter().enumerate() {
-            let expected = helper.min_probability(i);
-            let observed = count as f64 / trials as f64;
-            assert!(
-                (observed - expected).abs() < 0.01,
-                "index {i}: expected {expected}, observed {observed}"
-            );
-        }
-    }
-
-    #[test]
-    fn antirank_zero_weights_yield_none() {
-        let helper = AntiRanks::new(vec![0.0, 0.0]);
-        let mut rng = default_rng(8);
-        assert!(helper.sample_argmin(&mut rng).is_none());
-        assert_eq!(helper.min_probability(0), 0.0);
     }
 }

@@ -1,13 +1,11 @@
 //! Hash families used as randomness substrates.
 //!
-//! Three families are provided:
+//! Two families are provided:
 //!
-//! * [`MultiplyShiftHash`] — 2-universal multiply-shift hashing, the cheapest
-//!   option, used to place sampled items into the shared offsets table that
-//!   gives the framework its `O(1)` expected update time (Theorem 3.1).
 //! * [`KWiseHash`] — `k`-wise independent polynomial hashing over the
-//!   Mersenne prime `2^61 - 1`, used by the CountMin / CountSketch / AMS
-//!   substrates which need limited-independence guarantees.
+//!   Mersenne prime `2^61 - 1`, used by the baseline perfect `L_p`
+//!   sampler's private Count-Sketch, which needs limited-independence
+//!   guarantees.
 //! * [`TabulationHash`] — simple tabulation hashing, used where a "random
 //!   oracle like" hash with strong empirical behaviour is wanted (e.g. the
 //!   random-oracle `F_0` sampler of Remark 5.1, which we reproduce only as a
@@ -31,66 +29,6 @@ fn mod_mersenne61(x: u128) -> u64 {
     r
 }
 
-/// A 2-universal multiply-shift hash function mapping `u64` keys to
-/// `[0, 2^out_bits)`.
-///
-/// Uses the Dietzfelbinger et al. scheme: `h(x) = ((a * x + b) >> (64 -
-/// out_bits))` with odd `a`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiplyShiftHash {
-    a: u64,
-    b: u64,
-    out_bits: u32,
-}
-
-impl MultiplyShiftHash {
-    /// Draws a fresh function with `out_bits` output bits (`1..=64`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out_bits` is zero or larger than 64.
-    pub fn new<R: StreamRng>(rng: &mut R, out_bits: u32) -> Self {
-        assert!((1..=64).contains(&out_bits), "out_bits must be in 1..=64");
-        Self {
-            a: rng.next_u64() | 1,
-            b: rng.next_u64(),
-            out_bits,
-        }
-    }
-
-    /// Number of output bits.
-    pub fn out_bits(&self) -> u32 {
-        self.out_bits
-    }
-
-    /// Hashes a key into `[0, 2^out_bits)`.
-    #[inline]
-    pub fn hash(&self, key: u64) -> u64 {
-        let v = self.a.wrapping_mul(key).wrapping_add(self.b);
-        if self.out_bits == 64 {
-            v
-        } else {
-            v >> (64 - self.out_bits)
-        }
-    }
-
-    /// Hashes a key into `[0, buckets)` (for arbitrary, not necessarily
-    /// power-of-two, bucket counts).
-    #[inline]
-    pub fn bucket(&self, key: u64, buckets: usize) -> usize {
-        debug_assert!(buckets > 0);
-        // Map the out_bits-bit hash to [0, buckets) with the multiply-shift
-        // trick (unbiased enough for bucket placement).
-        let h = self.hash(key);
-        let width = if self.out_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.out_bits) - 1
-        };
-        ((h as u128 * buckets as u128) / (width as u128 + 1)) as usize
-    }
-}
-
 /// A `k`-wise independent hash family based on degree-(k-1) polynomials over
 /// the field `GF(2^61 - 1)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,11 +47,6 @@ impl KWiseHash {
         assert!(k >= 1, "independence k must be at least 1");
         let coefficients = (0..k).map(|_| rng.gen_range(MERSENNE_61)).collect();
         Self { coefficients }
-    }
-
-    /// The independence parameter `k` of this function.
-    pub fn independence(&self) -> usize {
-        self.coefficients.len()
     }
 
     /// The polynomial coefficients, lowest degree first (the function's
@@ -161,7 +94,7 @@ impl KWiseHash {
         (self.hash(key) % buckets as u64) as usize
     }
 
-    /// Hashes to a uniform sign in `{-1, +1}` (used by CountSketch / AMS).
+    /// Hashes to a uniform sign in `{-1, +1}`.
     #[inline]
     pub fn sign(&self, key: u64) -> i64 {
         if self.hash(key) & 1 == 0 {
@@ -169,13 +102,6 @@ impl KWiseHash {
         } else {
             -1
         }
-    }
-
-    /// Hashes into the unit interval `[0, 1)` (used by the random-oracle
-    /// min-hash `F_0` sampler comparator).
-    #[inline]
-    pub fn unit(&self, key: u64) -> f64 {
-        self.hash(key) as f64 / MERSENNE_61 as f64
     }
 }
 
@@ -224,13 +150,6 @@ impl TabulationHash {
         const SCALE: f64 = 1.0 / ((1u64 << 53) as f64);
         (self.hash(key) >> 11) as f64 * SCALE
     }
-
-    /// Hashes into `[0, buckets)`.
-    #[inline]
-    pub fn bucket(&self, key: u64, buckets: usize) -> usize {
-        debug_assert!(buckets > 0);
-        ((self.hash(key) as u128 * buckets as u128) >> 64) as usize
-    }
 }
 
 #[cfg(test)]
@@ -252,25 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn multiply_shift_buckets_are_balanced() {
-        let mut rng = default_rng(3);
-        let h = MultiplyShiftHash::new(&mut rng, 32);
-        let buckets = 16;
-        let mut counts = vec![0usize; buckets];
-        for key in 0..16_000u64 {
-            counts[h.bucket(key, buckets)] += 1;
-        }
-        for &c in &counts {
-            assert!(c > 500 && c < 1500, "bucket count {c} badly unbalanced");
-        }
-    }
-
-    #[test]
     fn kwise_is_deterministic_per_instance() {
         let mut rng = default_rng(11);
         let h = KWiseHash::new(&mut rng, 4);
         assert_eq!(h.hash(12345), h.hash(12345));
-        assert_eq!(h.independence(), 4);
+        assert_eq!(h.coefficients().len(), 4);
     }
 
     #[test]

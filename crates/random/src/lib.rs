@@ -10,11 +10,11 @@
 //!   ([`reservoir`]),
 //! * uniform random subsets of the universe `[n]` (used by the `F_0`
 //!   sampler, [`subset`]),
-//! * exponential and `p`-stable random variables (used only by the
-//!   *baseline* perfect-but-not-truly-perfect samplers reproduced from prior
-//!   work, [`exponential`](mod@exponential) and [`stable`]),
-//! * cheap hash families standing in for the random oracle in comparator
-//!   algorithms ([`hashing`]).
+//! * seed-derived exponential random variables (used only by the
+//!   *baseline* perfect-but-not-truly-perfect `L_p` sampler reproduced from
+//!   prior work, [`exponential`]),
+//! * hash families for that baseline's Count-Sketch and for the
+//!   random-oracle `F_0` comparator ([`hashing`]).
 //!
 //! All generators are deterministic given a seed so that every experiment in
 //! the benchmark harness is reproducible.
@@ -32,13 +32,11 @@ pub mod exponential;
 pub mod hashing;
 pub mod reservoir;
 pub mod splitmix;
-pub mod stable;
 pub mod subset;
 pub mod xoshiro;
 
-pub use exponential::{exponential, exponential_with_rate, AntiRanks};
-pub use hashing::{KWiseHash, MultiplyShiftHash, TabulationHash, MERSENNE_61};
-pub use reservoir::{ReservoirItem, ReservoirSampler, SkipReservoirSampler, WeightedReservoir};
+pub use hashing::{KWiseHash, TabulationHash, MERSENNE_61};
+pub use reservoir::{ReservoirItem, ReservoirSampler};
 pub use splitmix::SplitMix64;
 pub use subset::{random_subset, sample_without_replacement};
 pub use xoshiro::Xoshiro256;

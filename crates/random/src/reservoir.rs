@@ -6,15 +6,9 @@
 //! reservoir sampling is itself already a *truly perfect* `L_1` sampler for
 //! insertion-only streams, which is the `p = 1` base case of Theorem 1.4.
 //!
-//! Three variants are provided:
-//!
-//! * [`ReservoirSampler`] — size-`k` uniform reservoir, one coin per update.
-//! * [`SkipReservoirSampler`] — size-1 reservoir using Li's skip-ahead
-//!   ("Algorithm L") so that the expected work is `O(log m)` coins total
-//!   rather than one per update; used by the ablation benchmarks.
-//! * [`WeightedReservoir`] — Efraimidis–Spirakis weighted reservoir (a
-//!   baseline for weighted sampling with *a priori known* weights, which the
-//!   paper's samplers must do *without*).
+//! [`ReservoirSampler`] is the size-`k` uniform reservoir, one coin per
+//! update. The samplers' own reservoirs skip ahead inside
+//! `tps_core::engine`; this one backs the AMS `F_p` estimator's units.
 
 use crate::StreamRng;
 
@@ -58,11 +52,6 @@ impl<T> ReservoirSampler<T> {
     /// Number of stream items offered so far.
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// The reservoir's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current reservoir contents.
@@ -119,148 +108,6 @@ impl<T> ReservoirSampler<T> {
         } else {
             None
         }
-    }
-
-    /// Clears the reservoir and the stream-length counter.
-    pub fn reset(&mut self) {
-        self.seen = 0;
-        self.items.clear();
-    }
-
-    /// Heap space used by the reservoir in bytes (capacity slots).
-    pub fn space_bytes(&self) -> usize {
-        self.capacity * std::mem::size_of::<ReservoirItem<T>>() + std::mem::size_of::<Self>()
-    }
-}
-
-/// A size-1 reservoir using geometric skip-ahead (Li's "Algorithm L").
-///
-/// Distributionally identical to a size-1 [`ReservoirSampler`], but instead
-/// of flipping a coin per update it samples how many future updates to skip,
-/// so only `O(log m)` random draws are consumed over a stream of length `m`.
-#[derive(Debug, Clone)]
-pub struct SkipReservoirSampler<T> {
-    seen: u64,
-    /// Position (1-based) of the next update that will be admitted.
-    next_take: u64,
-    item: Option<ReservoirItem<T>>,
-}
-
-impl<T> SkipReservoirSampler<T> {
-    /// Creates an empty skip-ahead reservoir.
-    pub fn new() -> Self {
-        Self {
-            seen: 0,
-            next_take: 1,
-            item: None,
-        }
-    }
-
-    /// Number of stream items offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The currently held sample, if any.
-    pub fn current(&self) -> Option<&ReservoirItem<T>> {
-        self.item.as_ref()
-    }
-
-    /// Offers one stream item; returns `true` if it became the new sample.
-    pub fn offer<R: StreamRng>(&mut self, rng: &mut R, value: T) -> bool {
-        self.seen += 1;
-        if self.seen < self.next_take {
-            return false;
-        }
-        // Admit this item.
-        self.item = Some(ReservoirItem {
-            value,
-            timestamp: self.seen,
-        });
-        // For a size-1 reservoir the acceptance probability at position t is
-        // 1/t; the skip length S after accepting at position t satisfies
-        // P[S > s] = t / (t + s), i.e. S = floor(t * (1-U)/U) for uniform U.
-        let u = rng.next_f64().max(f64::MIN_POSITIVE);
-        let skip = ((self.seen as f64) * (1.0 - u) / u).floor() as u64;
-        self.next_take = self.seen + 1 + skip;
-        true
-    }
-
-    /// Clears the state.
-    pub fn reset(&mut self) {
-        self.seen = 0;
-        self.next_take = 1;
-        self.item = None;
-    }
-}
-
-impl<T> Default for SkipReservoirSampler<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Efraimidis–Spirakis weighted reservoir sampling of a single item.
-///
-/// Each offered item carries an explicit non-negative weight; after the
-/// stream ends the held item equals item `i` with probability
-/// `w_i / Σ_j w_j`. Exposed as a baseline: the paper's samplers achieve the
-/// same guarantee for weights `G(f_i)` that are *not known per update*.
-#[derive(Debug, Clone)]
-pub struct WeightedReservoir<T> {
-    best_key: f64,
-    item: Option<T>,
-    total_weight: f64,
-}
-
-impl<T> WeightedReservoir<T> {
-    /// Creates an empty weighted reservoir.
-    pub fn new() -> Self {
-        Self {
-            best_key: f64::NEG_INFINITY,
-            item: None,
-            total_weight: 0.0,
-        }
-    }
-
-    /// Offers an item with the given weight; zero-weight items are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or non-finite.
-    pub fn offer<R: StreamRng>(&mut self, rng: &mut R, value: T, weight: f64) {
-        assert!(
-            weight >= 0.0 && weight.is_finite(),
-            "weights must be non-negative"
-        );
-        if weight == 0.0 {
-            return;
-        }
-        self.total_weight += weight;
-        // key = U^{1/w}; equivalently compare ln(U)/w which is numerically
-        // safer for small weights.
-        let u = rng.next_f64().max(f64::MIN_POSITIVE);
-        let key = u.ln() / weight;
-        if key > self.best_key || self.item.is_none() {
-            self.best_key = key;
-            self.item = Some(value);
-        }
-    }
-
-    /// The held item, if any item with positive weight was offered.
-    pub fn current(&self) -> Option<&T> {
-        self.item.as_ref()
-    }
-
-    /// Sum of all offered weights.
-    pub fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-}
-
-impl<T> Default for WeightedReservoir<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -327,70 +174,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _: ReservoirSampler<u32> = ReservoirSampler::new(0);
-    }
-
-    #[test]
-    fn skip_reservoir_is_uniform_over_positions() {
-        let mut rng = default_rng(24);
-        let m = 16u64;
-        let trials = 60_000;
-        let mut counts = vec![0u64; m as usize];
-        for _ in 0..trials {
-            let mut res = SkipReservoirSampler::new();
-            for pos in 0..m {
-                res.offer(&mut rng, pos);
-            }
-            counts[res.current().unwrap().value as usize] += 1;
-        }
-        let expected = trials as f64 / m as f64;
-        for (i, &c) in counts.iter().enumerate() {
-            let ratio = c as f64 / expected;
-            assert!((0.85..1.15).contains(&ratio), "position {i} ratio {ratio}");
-        }
-    }
-
-    #[test]
-    fn weighted_reservoir_matches_weights() {
-        let mut rng = default_rng(25);
-        let weights = [1.0f64, 2.0, 3.0, 4.0];
-        let trials = 80_000;
-        let mut counts = [0u64; 4];
-        for _ in 0..trials {
-            let mut res = WeightedReservoir::new();
-            for (i, &w) in weights.iter().enumerate() {
-                res.offer(&mut rng, i, w);
-            }
-            counts[*res.current().unwrap()] += 1;
-        }
-        let total: f64 = weights.iter().sum();
-        for i in 0..4 {
-            let expected = weights[i] / total;
-            let observed = counts[i] as f64 / trials as f64;
-            assert!(
-                (observed - expected).abs() < 0.015,
-                "weight index {i}: expected {expected}, observed {observed}"
-            );
-        }
-    }
-
-    #[test]
-    fn weighted_reservoir_ignores_zero_weights() {
-        let mut rng = default_rng(26);
-        let mut res = WeightedReservoir::new();
-        res.offer(&mut rng, "zero", 0.0);
-        assert!(res.current().is_none());
-        res.offer(&mut rng, "one", 1.0);
-        assert_eq!(res.current(), Some(&"one"));
-    }
-
-    #[test]
-    fn reservoir_reset_clears_state() {
-        let mut rng = default_rng(27);
-        let mut res = ReservoirSampler::new(2);
-        res.offer(&mut rng, 1);
-        res.offer(&mut rng, 2);
-        res.reset();
-        assert_eq!(res.seen(), 0);
-        assert!(res.items().is_empty());
     }
 }

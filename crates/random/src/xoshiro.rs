@@ -71,17 +71,6 @@ impl Xoshiro256 {
         self.s = [s0, s1, s2, s3];
         snapshot
     }
-
-    /// Derives `count` independent generators from this one by repeated
-    /// jumping. The parallel sampler instances of the framework each receive
-    /// one of these streams.
-    pub fn split(&mut self, count: usize) -> Vec<Xoshiro256> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.jump());
-        }
-        out
-    }
 }
 
 impl StreamRng for Xoshiro256 {
@@ -148,7 +137,7 @@ mod tests {
     #[test]
     fn jump_streams_are_disjoint_prefixes() {
         let mut base = Xoshiro256::seed_from_u64(123);
-        let streams = base.split(4);
+        let streams: Vec<Xoshiro256> = (0..4).map(|_| base.jump()).collect();
         let mut prefixes: Vec<Vec<u64>> = streams
             .into_iter()
             .map(|mut s| (0..32).map(|_| StreamRng::next_u64(&mut s)).collect())

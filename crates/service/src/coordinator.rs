@@ -76,8 +76,7 @@ use std::time::Duration;
 
 use tps_core::runtime::{barrier_all, collect_acks, send_barrier, ShardLink, RING_CAPACITY};
 use tps_core::sharded::{
-    fold_merge, hash_route, ShardedSampler, ShardedSamplerBuilder, ShardingStrategy,
-    MERGE_SEED_SALT, RUNTIME_CHUNK,
+    fold_merge, hash_route, ShardedSampler, ShardedSamplerBuilder, MERGE_SEED_SALT, RUNTIME_CHUNK,
 };
 use tps_random::Xoshiro256;
 use tps_streams::codec::delta::IncrementalCheckpointer;
@@ -1111,11 +1110,7 @@ pub fn run_reference(spec: &JobSpec) -> io::Result<QueryReport> {
         S: MergeableSampler + UpdateSampler<U> + Clone + Send + Snapshot + Restore + 'static,
         U: StreamUpdate,
     {
-        let mut sampler = build(
-            ShardedSamplerBuilder::new(spec.workers)
-                .strategy(ShardingStrategy::Hash)
-                .seed(spec.seed),
-        );
+        let mut sampler = build(ShardedSamplerBuilder::new(spec.workers).seed(spec.seed));
         sampler.ingest_batch(stream);
         QueryReport::of::<S, U>(stream.len() as u64, sampler.merged())
     }

@@ -1,73 +1,13 @@
-//! Exact frequency counting.
-//!
-//! Two uses: (a) ground truth for small experiments, and (b) the shared
-//! "hash table containing a count and a list of offsets" that gives the
-//! truly perfect sampler framework its `O(1)` expected update time
-//! (the optimisation described after Theorem 3.1): each *distinct* sampled
-//! item is counted once, and every sampler instance that later samples the
-//! same item only stores the counter value at its own sampling time as an
-//! offset.
+//! Exact suffix counting: the shared "hash table containing a count and a
+//! list of offsets" that gives the truly perfect sampler framework its
+//! `O(1)` expected update time (the optimisation described after
+//! Theorem 3.1). Each *distinct* sampled item is counted once, and every
+//! sampler instance that later samples the same item only stores the
+//! counter value at its own sampling time as an offset.
 
-use std::collections::HashMap;
 use tps_streams::codec::{self, CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};
 use tps_streams::space::hashmap_bytes;
-use tps_streams::{Estimator, FastHashMap, Item, SpaceUsage};
-
-/// An exact hash-map frequency counter.
-#[derive(Debug, Clone, Default)]
-pub struct ExactCounter {
-    counts: HashMap<Item, u64>,
-    processed: u64,
-}
-
-impl ExactCounter {
-    /// Creates an empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Processes one unit insertion.
-    pub fn update(&mut self, item: Item) {
-        self.processed += 1;
-        *self.counts.entry(item).or_insert(0) += 1;
-    }
-
-    /// The exact frequency of an item.
-    pub fn count(&self, item: Item) -> u64 {
-        self.counts.get(&item).copied().unwrap_or(0)
-    }
-
-    /// Number of updates processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of distinct items seen.
-    pub fn distinct(&self) -> u64 {
-        self.counts.len() as u64
-    }
-
-    /// The exact maximum frequency.
-    pub fn max_frequency(&self) -> u64 {
-        self.counts.values().copied().max().unwrap_or(0)
-    }
-}
-
-impl Estimator for ExactCounter {
-    fn update(&mut self, item: Item) {
-        ExactCounter::update(self, item);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.processed as f64
-    }
-}
-
-impl SpaceUsage for ExactCounter {
-    fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + hashmap_bytes(&self.counts)
-    }
-}
+use tps_streams::{FastHashMap, Item, SpaceUsage};
 
 /// The shared suffix-count table used for `O(1)`-update-time truly perfect
 /// sampling.
@@ -193,20 +133,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_counter_counts() {
-        let mut c = ExactCounter::new();
-        for x in [1u64, 2, 2, 3, 3, 3] {
-            c.update(x);
-        }
-        assert_eq!(c.count(1), 1);
-        assert_eq!(c.count(3), 3);
-        assert_eq!(c.count(9), 0);
-        assert_eq!(c.processed(), 6);
-        assert_eq!(c.distinct(), 3);
-        assert_eq!(c.max_frequency(), 3);
-    }
-
-    #[test]
     fn suffix_table_reconstructs_counts() {
         let mut table = SuffixCountTable::new();
         // Instance A samples item 5 at time t0.
@@ -261,13 +187,5 @@ mod tests {
             let reconstructed = table.suffix_count(item, offset).saturating_sub(1);
             assert_eq!(reconstructed, naive[k], "instance {k}");
         }
-    }
-
-    #[test]
-    fn estimator_trait_reports_stream_length() {
-        let mut c = ExactCounter::new();
-        Estimator::update(&mut c, 4);
-        Estimator::update(&mut c, 4);
-        assert_eq!(Estimator::estimate(&c), 2.0);
     }
 }

@@ -302,19 +302,6 @@ impl MisraGries {
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
-
-    /// All items whose true frequency could exceed `threshold` (no false
-    /// negatives, by the deterministic error bound), sorted by item.
-    pub fn candidates_above(&self, threshold: u64) -> Vec<Item> {
-        let err = self.error_bound();
-        let mut items: Vec<Item> = self
-            .counters()
-            .filter(|&(_, c)| c + err >= threshold)
-            .map(|(i, _)| i)
-            .collect();
-        items.sort_unstable();
-        items
-    }
 }
 
 /// The Agarwal et al. *mergeable summaries* merge: counters are summed,
@@ -485,26 +472,6 @@ mod tests {
         }
         assert!(mg.estimate(77) > 0, "majority-style item must be retained");
         assert!(mg.heavy_hitters().iter().any(|&(i, _)| i == 77));
-    }
-
-    #[test]
-    fn candidates_above_has_no_false_negatives() {
-        let stream: Vec<Item> = (0..2_000u64)
-            .map(|i| if i % 3 == 0 { 5 } else { i })
-            .collect();
-        let mut mg = MisraGries::new(20);
-        for &x in &stream {
-            mg.update(x);
-        }
-        let truth = FrequencyVector::from_stream(&stream);
-        let threshold = 300u64;
-        let cands = mg.candidates_above(threshold);
-        for (item, freq) in truth.iter() {
-            if freq as u64 >= threshold {
-                assert!(cands.contains(&item), "missed heavy item {item}");
-            }
-        }
-        assert!(cands.windows(2).all(|w| w[0] < w[1]), "not sorted by item");
     }
 
     #[test]

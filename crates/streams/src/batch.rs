@@ -8,10 +8,9 @@
 //!   consumers (Misra–Gries, the shared suffix-count table): only
 //!   *contiguous* runs of one item may be folded, because interleavings
 //!   across different items are not commutative for those structures.
-//! * [`count_multiplicities`] / [`aggregate_in_order`] — full per-item
-//!   aggregation for order-*insensitive* (additive) consumers (CountMin,
-//!   CountSketch) and for consumers whose decisions depend only on
-//!   first-occurrence order and multiplicity (the `F_0` sampler).
+//! * [`aggregate_in_order`] — full per-item aggregation for consumers
+//!   whose decisions depend only on first-occurrence order and
+//!   multiplicity (the `F_0` sampler).
 
 use crate::fasthash::FastHashMap;
 use crate::update::Item;
@@ -62,17 +61,6 @@ fn run_len(items: &[Item], head: Item) -> usize {
     i
 }
 
-/// Aggregates a batch to `item → multiplicity` (order discarded; valid only
-/// for additive consumers).
-pub fn count_multiplicities(items: &[Item]) -> FastHashMap<Item, u64> {
-    let mut counts =
-        FastHashMap::with_capacity_and_hasher(items.len().min(1024), Default::default());
-    for &item in items {
-        *counts.entry(item).or_insert(0u64) += 1;
-    }
-    counts
-}
-
 /// Aggregates a batch to `(first-occurrence order, item → multiplicity)` —
 /// the traversal order per-item logic sees when every occurrence of an item
 /// is folded into its first.
@@ -114,14 +102,11 @@ mod tests {
     }
 
     #[test]
-    fn multiplicities_and_order_agree() {
+    fn aggregation_keeps_first_occurrence_order() {
         let items = [5u64, 1, 5, 2, 1, 5];
-        let counts = count_multiplicities(&items);
-        let (order, ordered_counts) = aggregate_in_order(&items);
+        let (order, counts) = aggregate_in_order(&items);
         assert_eq!(order, vec![5, 1, 2]);
-        for (&item, &count) in &counts {
-            assert_eq!(ordered_counts[&item], count);
-        }
+        assert_eq!(counts.len(), 3);
         assert_eq!(counts[&5], 3);
         assert_eq!(counts[&1], 2);
         assert_eq!(counts[&2], 1);

@@ -102,12 +102,8 @@ pub mod tag {
     pub const SUFFIX_COUNT_TABLE: u16 = 0x0020;
     /// `tps_sketches::MisraGries`.
     pub const MISRA_GRIES: u16 = 0x0021;
-    /// `tps_sketches::SpaceSaving`.
-    pub const SPACE_SAVING: u16 = 0x0022;
-    /// `tps_sketches::CountMin`.
-    pub const COUNT_MIN: u16 = 0x0023;
-    /// `tps_sketches::CountSketch`.
-    pub const COUNT_SKETCH: u16 = 0x0024;
+    // 0x0022–0x0024 are retired: SpaceSaving / CountMin / CountSketch,
+    // never reuse. Old snapshots carrying them fail as `TagMismatch`.
     /// `tps_sketches::AmsFpEstimator`.
     pub const AMS_FP_ESTIMATOR: u16 = 0x0025;
     /// `tps_sketches::SparseRecovery` (Reed–Solomon syndrome vector).

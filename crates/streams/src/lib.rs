@@ -42,7 +42,7 @@ pub mod stats;
 pub mod update;
 pub mod wire;
 
-pub use batch::{aggregate_in_order, count_multiplicities, for_each_run};
+pub use batch::{aggregate_in_order, for_each_run};
 pub use codec::{CodecError, Restore, Snapshot, SnapshotReader, SnapshotWriter};
 pub use fasthash::{FastHashMap, FastHashSet};
 pub use frequency::FrequencyVector;

@@ -9,10 +9,9 @@
 //!
 //! * [`MergeableSummary`] — **exactly** mergeable: the merged summary's
 //!   guarantees are those the summary would offer over the concatenated
-//!   stream (for same-seed CountMin / CountSketch the merged *state* is
-//!   byte-identical to sequential ingestion; for Misra–Gries / SpaceSaving
-//!   the deterministic error bounds compose additively). Merging is pure
-//!   counter arithmetic and consumes no randomness.
+//!   stream (for Misra–Gries the deterministic error bounds compose
+//!   additively). Merging is pure counter arithmetic and consumes no
+//!   randomness.
 //! * [`MergeableSampler`] — **distributionally** mergeable: the merged
 //!   sampler's output distribution equals the distribution a single
 //!   instance would have had over the combined stream. Merging draws a
@@ -27,14 +26,16 @@
 //! * **Hash partitioning** (every occurrence of an item routed to the same
 //!   shard) is distributionally exact for *every* measure `G`: each shard
 //!   owns its items' full frequencies, so merged suffix counts are exact.
-//! * **Round-robin / arbitrary partitioning** is exact for
-//!   constant-increment measures (`L_1`: acceptance is independent of the
-//!   suffix count) and an approximation otherwise, because occurrences of a
-//!   slot's item that landed on *other* shards are missing from its suffix
-//!   count.
+//! * **Any partitioning that splits an item's occurrences** (round-robin,
+//!   arbitrary) is exact only for constant-increment measures (`L_1`:
+//!   acceptance is independent of the suffix count) and linear sketches.
+//!   For every other measure it is an approximation, because occurrences
+//!   of a slot's item that landed on *other* shards are missing from its
+//!   suffix count.
 //!
 //! `ShardedSampler` in `tps-core` builds the scatter-gather front-end on
-//! top of these traits.
+//! top of these traits. By this law it offers hash routing only, so no
+//! sharded sampler it builds can be inexact.
 
 use tps_random::StreamRng;
 
@@ -77,9 +78,8 @@ pub trait MergeableSampler: Sized {
     fn merge_compatible(&self, other: &Self) -> bool;
 }
 
-/// A deterministic or randomized stream summary whose instances merge by
-/// counter arithmetic, preserving the summary's guarantees over the
-/// concatenated stream.
+/// A stream summary whose instances merge by counter arithmetic,
+/// preserving the summary's guarantees over the concatenated stream.
 pub trait MergeableSummary: Sized {
     /// Merges `other` into `self`.
     ///

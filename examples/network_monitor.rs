@@ -27,7 +27,7 @@
 
 use tps_core::f0::SlidingWindowF0Sampler;
 use tps_core::lp::TrulyPerfectLpSampler;
-use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
+use tps_core::sharded::ShardedSamplerBuilder;
 use tps_core::sliding::SlidingWindowGSampler;
 use tps_core::QueryOptions;
 use tps_random::default_rng;
@@ -111,7 +111,6 @@ fn main() {
     let big_universe = 65_536u64;
 
     let mut sharded = ShardedSamplerBuilder::new(shards)
-        .strategy(ShardingStrategy::Hash)
         .seed(7_777)
         .build(|idx| TrulyPerfectLpSampler::new(1.0, big_universe, 0.1, 1_000 + idx as u64));
     let mut gen_rng = default_rng(4_242);

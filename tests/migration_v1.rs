@@ -1,7 +1,7 @@
 //! The v1→v2 migration gate: the *previous* format's golden corpus
 //! (preserved verbatim under `tests/golden/snapshots_v1/`) must convert
 //! through `tps_streams::codec::migrate` into byte-valid version-2
-//! snapshots — for every component tag the codec has ever sealed.
+//! snapshots — for every component tag the codec still decodes.
 //!
 //! The headline assertion is strict: because the v2 corpus under
 //! `tests/golden/snapshots/` is regenerated from the *same* deterministic
@@ -18,7 +18,7 @@ use tps_core::sharded::ShardedSampler;
 use tps_streams::codec::migrate::{migrate_v1_to_v2, upgrade_to_current};
 use tps_streams::codec::{peek_version, CodecError, Restore, Snapshot, FORMAT_VERSION};
 
-/// Every file of the preserved v1 corpus.
+/// Every file of the preserved v1 corpus; the directory holds no other.
 const V1_CORPUS_FILES: &[&str] = &[
     "xoshiro256.snap",
     "skip_ahead_engine.snap",
@@ -31,10 +31,7 @@ const V1_CORPUS_FILES: &[&str] = &[
     "sliding_g_sampler.snap",
     "sliding_lp_sampler.snap",
     "sharded_lp_hash.snap",
-    "count_min.snap",
-    "count_sketch.snap",
     "misra_gries.snap",
-    "space_saving.snap",
     "suffix_count_table.snap",
     "ams_fp_estimator.snap",
 ];
@@ -58,6 +55,17 @@ fn read(generation: &str, name: &str) -> Vec<u8> {
 #[test]
 fn v1_corpus_migrates_byte_identically_to_the_v2_corpus() {
     const { assert!(FORMAT_VERSION >= 2, "this gate assumes the v2 era") };
+    let entries = std::fs::read_dir(golden_dir("snapshots_v1")).expect("list the v1 corpus");
+    let mut listed: Vec<String> = entries
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    listed.sort();
+    let mut named: Vec<&str> = V1_CORPUS_FILES.to_vec();
+    named.sort();
+    assert_eq!(
+        listed, named,
+        "snapshots_v1 must hold exactly V1_CORPUS_FILES (no orphaned snapshots)"
+    );
     for &name in V1_CORPUS_FILES {
         let v1 = read("snapshots_v1", name);
         assert_eq!(

@@ -6,11 +6,11 @@ use proptest::test_runner::TestCaseError;
 use tps_core::f0::TrulyPerfectF0Sampler;
 use tps_core::framework::{MisraGriesNormalizer, RejectionNormalizer};
 use tps_core::lp::TrulyPerfectLpSampler;
-use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
+use tps_core::sharded::ShardedSamplerBuilder;
 use tps_core::sliding::{SlidingWindowGSampler, SlidingWindowLpSampler};
 use tps_core::turnstile::{MultiPassL1Sampler, StrictTurnstileF0Sampler};
 use tps_random::default_rng;
-use tps_sketches::{CountMin, CountSketch, MisraGries, SpaceSaving, SparseRecovery};
+use tps_sketches::{MisraGries, SparseRecovery};
 use tps_streams::frequency::FrequencyVector;
 use tps_streams::stats::{fit_power_law, tv_distance, SampleHistogram};
 use tps_streams::update::WindowSpec;
@@ -236,20 +236,6 @@ proptest! {
         prop_assert!(mg.max_frequency_upper_bound() <= truth.l_inf() + err);
     }
 
-    /// SpaceSaving overestimates and respects its error bound.
-    #[test]
-    fn space_saving_invariants(stream in small_stream(), capacity in 1usize..40) {
-        let mut ss = SpaceSaving::new(capacity);
-        for &x in &stream {
-            ss.update(x);
-        }
-        let truth = FrequencyVector::from_stream(&stream);
-        prop_assert!(ss.max_frequency_upper_bound() >= truth.l_inf());
-        for (item, freq) in truth.iter() {
-            prop_assert!(ss.estimate(item) <= freq as u64 + ss.error_bound());
-        }
-    }
-
     /// The Misra–Gries normaliser used by the L_p sampler is always a valid
     /// (certain) bound on the largest achievable increment.
     #[test]
@@ -445,34 +431,11 @@ proptest! {
         )?;
     }
 
-    /// The batch engine law for the batched sketches: CountMin, CountSketch
-    /// and Misra-Gries leave exactly the per-item loop's state (checked
-    /// through their complete query surfaces).
+    /// The batch engine law for the batched sketch: Misra-Gries leaves
+    /// exactly the per-item loop's state (checked through its complete
+    /// query surface).
     #[test]
-    fn sketch_batch_equals_loop(stream in small_stream(), seed in any::<u64>()) {
-        {
-            let mut looped = CountMin::new(&mut default_rng(seed), 4, 32);
-            let mut batched = CountMin::new(&mut default_rng(seed), 4, 32);
-            for &x in &stream {
-                looped.update(x);
-            }
-            batched.update_batch(&stream);
-            prop_assert_eq!(looped.processed(), batched.processed());
-            for item in 0..60u64 {
-                prop_assert_eq!(looped.estimate(item), batched.estimate(item));
-            }
-        }
-        {
-            let mut looped = CountSketch::new(&mut default_rng(seed), 5, 32);
-            let mut batched = CountSketch::new(&mut default_rng(seed), 5, 32);
-            for &x in &stream {
-                looped.insert(x);
-            }
-            batched.insert_batch(&stream);
-            for item in 0..60u64 {
-                prop_assert_eq!(looped.estimate(item), batched.estimate(item));
-            }
-        }
+    fn sketch_batch_equals_loop(stream in small_stream()) {
         for capacity in [1usize, 3, 8, 64] {
             let mut looped = MisraGries::new(capacity);
             let mut batched = MisraGries::new(capacity);
@@ -487,40 +450,6 @@ proptest! {
                 batched.max_frequency_upper_bound()
             );
             prop_assert_eq!(looped.heavy_hitters(), batched.heavy_hitters());
-        }
-    }
-
-    /// Exact-sketch merge law: same-seed CountMin / CountSketch instances
-    /// fed the two halves of a stream and merged are **byte-identical** to
-    /// one instance fed the concatenated stream (tables, processed counts,
-    /// and therefore every estimate).
-    #[test]
-    fn countmin_countsketch_merge_equals_concatenated_stream(
-        stream_a in small_stream(),
-        stream_b in small_stream(),
-        seed in any::<u64>(),
-    ) {
-        let concat: Vec<Item> = stream_a.iter().chain(&stream_b).copied().collect();
-        {
-            let mut half_a = CountMin::new(&mut default_rng(seed), 4, 32);
-            let mut half_b = CountMin::new(&mut default_rng(seed), 4, 32);
-            let mut sequential = CountMin::new(&mut default_rng(seed), 4, 32);
-            half_a.update_batch(&stream_a);
-            half_b.update_batch(&stream_b);
-            sequential.update_batch(&concat);
-            let merged = MergeableSummary::merge(half_a, half_b);
-            prop_assert_eq!(merged.table(), sequential.table());
-            prop_assert_eq!(merged.processed(), sequential.processed());
-        }
-        {
-            let mut half_a = CountSketch::new(&mut default_rng(seed), 5, 32);
-            let mut half_b = CountSketch::new(&mut default_rng(seed), 5, 32);
-            let mut sequential = CountSketch::new(&mut default_rng(seed), 5, 32);
-            half_a.insert_batch(&stream_a);
-            half_b.insert_batch(&stream_b);
-            sequential.insert_batch(&concat);
-            let merged = MergeableSummary::merge(half_a, half_b);
-            prop_assert_eq!(merged.table(), sequential.table());
         }
     }
 
@@ -573,34 +502,6 @@ proptest! {
             }
             prop_assert!(merged.max_frequency_upper_bound() >= truth.l_inf());
         }
-    }
-
-    /// SpaceSaving merge keeps the overestimate-within-error guarantee over
-    /// the concatenated stream for arbitrary capacities and overlap.
-    #[test]
-    fn space_saving_merge_guarantees(
-        stream_a in small_stream(),
-        stream_b in small_stream(),
-        capacity in 1usize..40,
-    ) {
-        let mut half_a = SpaceSaving::new(capacity);
-        let mut half_b = SpaceSaving::new(capacity);
-        for &x in &stream_a {
-            half_a.update(x);
-        }
-        for &x in &stream_b {
-            half_b.update(x);
-        }
-        let merged = MergeableSummary::merge(half_a, half_b);
-        let both: Vec<Item> = stream_a.iter().chain(&stream_b).copied().collect();
-        let truth = FrequencyVector::from_stream(&both);
-        let err = merged.error_bound();
-        for (item, freq) in truth.iter() {
-            let est = merged.estimate(item);
-            prop_assert!(est >= freq as u64 || est >= err);
-            prop_assert!(est <= freq as u64 + err);
-        }
-        prop_assert!(merged.max_frequency_upper_bound() >= truth.l_inf());
     }
 
     /// F0 merge law: same-seed shards over item-disjoint streams merge into
@@ -683,10 +584,10 @@ proptest! {
         }
     }
 
-    /// The sharded turnstile front-end obeys batch ≡ loop for both routing
-    /// strategies and arbitrary chunkings, and its merged answer equals a
-    /// single unsharded instance over the interleaved stream (byte-exact,
-    /// by the linear merge law above).
+    /// The sharded turnstile front-end obeys batch ≡ loop for arbitrary
+    /// chunkings, and its merged answer equals a single unsharded instance
+    /// over the interleaved stream (byte-exact, by the linear merge law
+    /// above).
     #[test]
     fn sharded_turnstile_batch_equals_loop_and_single_instance(
         updates in strict_stream(),
@@ -694,70 +595,58 @@ proptest! {
         chunk in 1usize..400,
     ) {
         use tps_streams::Snapshot;
-        for strategy in [ShardingStrategy::Hash, ShardingStrategy::RoundRobin] {
-            let build = || {
-                ShardedSamplerBuilder::new(3)
-                    .strategy(strategy)
-                    .seed(seed)
-                    // Shared seed: the turnstile merge law requires every
-                    // shard to pre-draw identical structure.
-                    .build_turnstile(|_idx| StrictTurnstileF0Sampler::new(40, seed))
-            };
-            let mut looped = build();
-            for &u in &updates {
-                looped.update(u);
-            }
-            let mut batched = build();
-            for piece in updates.chunks(chunk.max(1)) {
-                batched.update_batch(piece);
-            }
-            let mut single = StrictTurnstileF0Sampler::new(40, seed);
-            single.update_batch(&updates);
-            prop_assert_eq!(
-                looped.merged().snapshot(),
-                single.snapshot(),
-                "{:?}: merged shards drifted from the single instance",
-                strategy
-            );
-            for draw in 0..4 {
-                let want = looped.sample();
-                prop_assert_eq!(want, batched.sample(), "{:?} diverged at draw {}", strategy, draw);
-            }
+        let build = || {
+            ShardedSamplerBuilder::new(3)
+                .seed(seed)
+                // Shared seed: the turnstile merge law requires every
+                // shard to pre-draw identical structure.
+                .build_turnstile(|_idx| StrictTurnstileF0Sampler::new(40, seed))
+        };
+        let mut looped = build();
+        for &u in &updates {
+            looped.update(u);
+        }
+        let mut batched = build();
+        for piece in updates.chunks(chunk.max(1)) {
+            batched.update_batch(piece);
+        }
+        let mut single = StrictTurnstileF0Sampler::new(40, seed);
+        single.update_batch(&updates);
+        prop_assert_eq!(
+            looped.merged().snapshot(),
+            single.snapshot(),
+            "merged shards drifted from the single instance"
+        );
+        for draw in 0..4 {
+            let want = looped.sample();
+            prop_assert_eq!(want, batched.sample(), "diverged at draw {}", draw);
         }
     }
 
-    /// The sharded front-end obeys batch ≡ loop for both routing
-    /// strategies and arbitrary chunkings: same shard states, same query
-    /// RNG position, so repeated samples agree draw for draw.
+    /// The sharded front-end obeys batch ≡ loop for arbitrary chunkings:
+    /// same shard states, same query RNG position, so repeated samples
+    /// agree draw for draw.
     #[test]
     fn sharded_batch_equals_loop(
         stream in small_stream(),
         seed in any::<u64>(),
         chunk in 1usize..400,
     ) {
-        for strategy in [ShardingStrategy::Hash, ShardingStrategy::RoundRobin] {
-            let build = || {
-                ShardedSamplerBuilder::new(3).strategy(strategy).seed(seed).build(|idx| {
-                    TrulyPerfectLpSampler::new(2.0, 128, 0.1, seed ^ ((idx as u64) << 32))
-                })
-            };
-            let mut looped = build();
-            for &x in &stream {
-                looped.update(x);
-            }
-            let mut batched = build();
-            for piece in stream.chunks(chunk) {
-                batched.update_batch(piece);
-            }
-            for draw in 0..4 {
-                prop_assert_eq!(
-                    looped.sample(),
-                    batched.sample(),
-                    "{:?} diverged at draw {}",
-                    strategy,
-                    draw
-                );
-            }
+        let build = || {
+            ShardedSamplerBuilder::new(3).seed(seed).build(|idx| {
+                TrulyPerfectLpSampler::new(2.0, 128, 0.1, seed ^ ((idx as u64) << 32))
+            })
+        };
+        let mut looped = build();
+        for &x in &stream {
+            looped.update(x);
+        }
+        let mut batched = build();
+        for piece in stream.chunks(chunk) {
+            batched.update_batch(piece);
+        }
+        for draw in 0..4 {
+            prop_assert_eq!(looped.sample(), batched.sample(), "diverged at draw {}", draw);
         }
     }
 
@@ -790,7 +679,6 @@ fn sharded_l2_hash_matches_sequential_distribution() {
     let mut histogram = SampleHistogram::new();
     for seed in 0..5_000u64 {
         let mut sharded = ShardedSamplerBuilder::new(4)
-            .strategy(ShardingStrategy::Hash)
             .seed(90_000 + seed)
             .build(|idx| {
                 TrulyPerfectLpSampler::new(2.0, 64, 0.05, 90_000 + seed + ((idx as u64) << 32))
@@ -807,32 +695,6 @@ fn sharded_l2_hash_matches_sequential_distribution() {
     assert!(tv < 0.04, "sharded L2 TV {tv} off the exact target");
 }
 
-/// Round-robin sharding is exact for constant-increment measures: the `L_1`
-/// sampler's acceptance ignores suffix counts, so cyclically splitting an
-/// item's occurrences across shards loses nothing.
-#[test]
-fn sharded_round_robin_l1_matches_frequency_distribution() {
-    let stream: Vec<Item> = [(7u64, 8u64), (8, 4), (9, 2), (10, 1)]
-        .iter()
-        .flat_map(|&(i, c)| std::iter::repeat_n(i, c as usize))
-        .collect();
-    let target = FrequencyVector::from_stream(&stream).lp_distribution(1.0);
-    let mut histogram = SampleHistogram::new();
-    for seed in 0..5_000u64 {
-        let mut sharded = ShardedSamplerBuilder::new(3)
-            .strategy(ShardingStrategy::RoundRobin)
-            .seed(70_000 + seed)
-            .build(|idx| {
-                TrulyPerfectLpSampler::new(1.0, 64, 0.1, 70_000 + seed + ((idx as u64) << 32))
-            });
-        sharded.update_all(&stream);
-        histogram.record(sharded.sample());
-    }
-    assert_eq!(histogram.fails(), 0, "L1 sampling never fails");
-    let tv = histogram.tv_distance(&target);
-    assert!(tv < 0.04, "round-robin L1 TV {tv} off the exact target");
-}
-
 /// Sharded F0: hash-partitioned support splits merge back into an exactly
 /// uniform-over-support sampler (shards share one seed, as the F0 merge
 /// contract requires).
@@ -846,7 +708,6 @@ fn sharded_f0_matches_uniform_support_distribution() {
     let mut histogram = SampleHistogram::new();
     for seed in 0..4_000u64 {
         let mut sharded = ShardedSamplerBuilder::new(4)
-            .strategy(ShardingStrategy::Hash)
             .seed(50_000 + seed)
             .build(|_| TrulyPerfectF0Sampler::new(10_000, 0.1, 50_000 + seed));
         sharded.update_all(&stream);

@@ -32,14 +32,12 @@ use tps_core::engine::SkipAheadEngine;
 use tps_core::f0::{SlidingWindowF0Sampler, TrulyPerfectF0Sampler};
 use tps_core::framework::{MeasureNormalizer, TrulyPerfectGSampler};
 use tps_core::lp::TrulyPerfectLpSampler;
-use tps_core::sharded::{ShardedSampler, ShardedSamplerBuilder, ShardingStrategy};
+use tps_core::sharded::{ShardedSampler, ShardedSamplerBuilder};
 use tps_core::sliding::{SlidingWindowGSampler, SlidingWindowLpSampler};
 use tps_core::turnstile::StrictTurnstileF0Sampler;
 use tps_random::{default_rng, Xoshiro256};
 use tps_sketches::exact_counter::SuffixCountTable;
-use tps_sketches::{
-    AmsFpEstimator, CountMin, CountSketch, MisraGries, SpaceSaving, SparseRecovery,
-};
+use tps_sketches::{AmsFpEstimator, MisraGries, SparseRecovery};
 use tps_streams::codec::{self, peek_version, CodecError, Restore, Snapshot, FORMAT_VERSION};
 use tps_streams::{
     Estimator, Huber, Item, Lp, SignedUpdate, SlidingWindowSampler, SpaceUsage, StreamSampler,
@@ -128,31 +126,14 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>)> {
     corpus.push(("sliding_lp_sampler.snap", sliding_lp.snapshot()));
 
     let mut sharded = ShardedSamplerBuilder::new(3)
-        .strategy(ShardingStrategy::Hash)
         .seed(41)
         .build(|idx| TrulyPerfectLpSampler::new(2.0, 64, 0.2, 41 ^ ((idx as u64) << 32)));
     sharded.update_batch(&stream);
     corpus.push(("sharded_lp_hash.snap", sharded.snapshot()));
 
-    let mut rng = default_rng(43);
-    let mut cm = CountMin::new(&mut rng, 3, 32);
-    cm.update_batch(&stream);
-    corpus.push(("count_min.snap", cm.snapshot()));
-
-    let mut rng = default_rng(47);
-    let mut cs = CountSketch::new(&mut rng, 3, 32);
-    cs.insert_batch(&stream);
-    corpus.push(("count_sketch.snap", cs.snapshot()));
-
     let mut mg = MisraGries::new(16);
     mg.update_batch(&stream);
     corpus.push(("misra_gries.snap", mg.snapshot()));
-
-    let mut ss = SpaceSaving::new(16);
-    for &x in &stream {
-        ss.update(x);
-    }
-    corpus.push(("space_saving.snap", ss.snapshot()));
 
     let mut table = SuffixCountTable::new();
     table.track(1);
@@ -192,7 +173,6 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>)> {
     corpus.push(("turnstile_f0_sampler.snap", turnstile.snapshot()));
 
     let mut sharded_turnstile = ShardedSamplerBuilder::new(3)
-        .strategy(ShardingStrategy::Hash)
         .seed(61)
         .build_turnstile(|_idx| StrictTurnstileF0Sampler::new(90, 61));
     sharded_turnstile.update_batch(&signed);
@@ -202,7 +182,8 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>)> {
 }
 
 /// The committed corpus file names — deleting a file from the corpus
-/// without touching this list fails the gate.
+/// without touching this list fails the gate, and so does a file in the
+/// corpus directory that this list does not name.
 const CORPUS_FILES: &[&str] = &[
     "xoshiro256.snap",
     "skip_ahead_engine.snap",
@@ -215,16 +196,24 @@ const CORPUS_FILES: &[&str] = &[
     "sliding_g_sampler.snap",
     "sliding_lp_sampler.snap",
     "sharded_lp_hash.snap",
-    "count_min.snap",
-    "count_sketch.snap",
     "misra_gries.snap",
-    "space_saving.snap",
     "suffix_count_table.snap",
     "ams_fp_estimator.snap",
     "sparse_recovery.snap",
     "turnstile_f0_sampler.snap",
     "sharded_turnstile_hash.snap",
 ];
+
+/// The file names in `dir`, sorted.
+fn listing(dir: &std::path::Path) -> Vec<String> {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()));
+    let mut names: Vec<String> = entries
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
 
 fn reencode<T: Restore>(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
     Ok(T::restore(bytes)?.snapshot())
@@ -247,10 +236,7 @@ fn decode_and_reencode(name: &str, bytes: &[u8]) -> Result<Vec<u8>, CodecError> 
         "sliding_g_sampler.snap" => reencode::<SlidingWindowGSampler<Lp>>(bytes),
         "sliding_lp_sampler.snap" => reencode::<SlidingWindowLpSampler>(bytes),
         "sharded_lp_hash.snap" => reencode::<ShardedSampler<TrulyPerfectLpSampler>>(bytes),
-        "count_min.snap" => reencode::<CountMin>(bytes),
-        "count_sketch.snap" => reencode::<CountSketch>(bytes),
         "misra_gries.snap" => reencode::<MisraGries>(bytes),
-        "space_saving.snap" => reencode::<SpaceSaving>(bytes),
         "suffix_count_table.snap" => reencode::<SuffixCountTable>(bytes),
         "ams_fp_estimator.snap" => reencode::<AmsFpEstimator>(bytes),
         "sparse_recovery.snap" => reencode::<SparseRecovery>(bytes),
@@ -297,6 +283,13 @@ fn golden_corpus_decodes_and_reencodes_byte_identically() {
     assert_eq!(
         built, CORPUS_FILES,
         "CORPUS_FILES must list exactly the snapshots build_corpus produces"
+    );
+    let mut named = CORPUS_FILES.to_vec();
+    named.sort();
+    assert_eq!(
+        listing(&corpus_dir()),
+        named,
+        "the corpus directory must hold exactly CORPUS_FILES (no orphaned snapshots)"
     );
     for &name in CORPUS_FILES {
         let bytes = read_corpus_file(name);
@@ -440,6 +433,54 @@ fn tampered_headers_fail_with_specific_errors() {
     }
 }
 
+/// Retired encodings fail typed. Round-robin routing is gone, so a sharded
+/// record whose strategy byte says round-robin (1), or whose legacy cursor
+/// is nonzero, is `InvalidValue`. The retired sketch tags 0x0022–0x0024
+/// name no kept type, so an envelope carrying one is a `TagMismatch`.
+#[test]
+fn retired_encodings_fail_typed() {
+    if regenerating() {
+        return;
+    }
+    // Envelope header (16 bytes), then the payload: tag u16, strategy u8,
+    // backpressure u8, cutoff u64, chunk length u64, cursor u64.
+    const STRATEGY: usize = 16 + 2;
+    const CURSOR: usize = STRATEGY + 1 + 1 + 8 + 8;
+    let bytes = read_corpus_file("sharded_lp_hash.snap");
+    assert_eq!(bytes[STRATEGY], 0, "the corpus file is hash-routed");
+    assert_eq!(bytes[CURSOR..CURSOR + 8], [0; 8]);
+    let mut round_robin = bytes.clone();
+    round_robin[STRATEGY] = 1;
+    let mut cursor = bytes.clone();
+    cursor[CURSOR] = 1;
+    for tampered in [round_robin, cursor] {
+        assert!(matches!(
+            ShardedSampler::<TrulyPerfectLpSampler>::restore(&reseal(tampered)),
+            Err(CodecError::InvalidValue { .. })
+        ));
+    }
+
+    for retired in 0x0022u16..=0x0024 {
+        let mut payload = retired.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0u8; 32]);
+        let sealed = codec::seal(retired, &payload);
+        assert!(
+            matches!(
+                MisraGries::restore(&sealed),
+                Err(CodecError::TagMismatch { .. })
+            ),
+            "tag {retired:#06x} restored as MisraGries"
+        );
+        assert!(
+            matches!(
+                ShardedSampler::<TrulyPerfectLpSampler>::restore(&sealed),
+                Err(CodecError::TagMismatch { .. })
+            ),
+            "tag {retired:#06x} restored as ShardedSampler"
+        );
+    }
+}
+
 /// Decode hardening, part 4: adversarial snapshots with *valid* checksums
 /// (the FNV checksum is an integrity check, not an authenticity mechanism)
 /// must still come back as typed errors or cheap successes — size fields
@@ -503,17 +544,6 @@ fn crafted_snapshots_never_panic_or_overallocate() {
         Err(CodecError::InvalidValue { .. })
     ));
 
-    // Same shape for SpaceSaving.
-    let mut w = SnapshotWriter::new();
-    w.put_tag(tag::SPACE_SAVING);
-    w.put_u64(1 << 60); // capacity
-    w.put_u64(0); // processed
-    w.put_u64(0); // merge slack
-    w.put_u64(0); // counter count
-    let huge_ss = SpaceSaving::restore(&seal(tag::SPACE_SAVING, &w.into_bytes()))
-        .expect("oversized capacity is legal state");
-    assert_eq!(huge_ss.processed(), 0);
-
     // An F0 snapshot claiming a non-empty, non-overflowed stream with an
     // empty first-distinct set: live ingestion can never produce this, and
     // accepting it would make the next `sample()` index into an empty
@@ -548,16 +578,21 @@ fn crafted_snapshots_never_panic_or_overallocate() {
     assert_eq!(overflowed.sample(), SampleOutcome::Fail);
 
     // Grid-shaped components with dimension fields whose product
-    // overflows or dwarfs the payload fail fast through `check_grid`.
-    let mut w = SnapshotWriter::new();
-    w.put_tag(tag::COUNT_MIN);
-    w.put_u64(u64::MAX / 2); // rows
-    w.put_u64(4); // cols
-    w.put_u64(0); // processed
-    assert!(matches!(
-        CountMin::restore(&seal(tag::COUNT_MIN, &w.into_bytes())),
-        Err(CodecError::Truncated { .. })
-    ));
+    // overflows or dwarfs the payload fail fast through `check_grid`: an
+    // AMS estimator's rows × cols units of at least 17 bytes each.
+    for (rows, cols) in [(u64::MAX / 2, 4), (1 << 20, 1 << 20)] {
+        let mut w = SnapshotWriter::new();
+        w.put_tag(tag::AMS_FP_ESTIMATOR);
+        w.put_f64(2.0); // p
+        w.put_u64(rows);
+        w.put_u64(cols);
+        w.put_u64(0); // processed
+        Xoshiro256::seed_from_u64(3).encode_into(&mut w);
+        assert!(matches!(
+            AmsFpEstimator::restore(&seal(tag::AMS_FP_ESTIMATOR, &w.into_bytes())),
+            Err(CodecError::Truncated { .. })
+        ));
+    }
 }
 
 /// Decode hardening, part 5: restored state must never panic at query

@@ -16,14 +16,12 @@ use tps_core::engine::SkipAheadEngine;
 use tps_core::f0::{SlidingWindowF0Sampler, TrulyPerfectF0Sampler};
 use tps_core::framework::{MeasureNormalizer, TrulyPerfectGSampler};
 use tps_core::lp::TrulyPerfectLpSampler;
-use tps_core::sharded::{ShardedSamplerBuilder, ShardingStrategy};
+use tps_core::sharded::ShardedSamplerBuilder;
 use tps_core::sliding::{SlidingWindowGSampler, SlidingWindowLpSampler};
 use tps_core::turnstile::StrictTurnstileF0Sampler;
 use tps_random::{default_rng, StreamRng, Xoshiro256};
 use tps_sketches::exact_counter::SuffixCountTable;
-use tps_sketches::{
-    AmsFpEstimator, CountMin, CountSketch, MisraGries, SpaceSaving, SparseRecovery,
-};
+use tps_sketches::{AmsFpEstimator, MisraGries, SparseRecovery};
 use tps_streams::codec::{Restore, Snapshot};
 use tps_streams::generators::zipfian_stream;
 use tps_streams::{
@@ -214,25 +212,24 @@ fn sliding_lp_sampler_roundtrip_with_estimator() {
     }
 }
 
+/// The name predates the removal of round-robin routing; hash routing is
+/// the only strategy left.
 #[test]
 fn sharded_sampler_roundtrip_both_strategies() {
-    for strategy in [ShardingStrategy::Hash, ShardingStrategy::RoundRobin] {
-        let stream = workload(70, 4_000, 61);
-        let mut sharded = ShardedSamplerBuilder::new(3)
-            .strategy(strategy)
-            .seed(7)
-            .build(|idx| TrulyPerfectLpSampler::new(2.0, 256, 0.1, 7 ^ ((idx as u64) << 32)));
-        sharded.update_batch(&stream[..2_500]);
-        assert_roundtrip(&mut sharded, |s| {
-            for chunk in stream[2_500..].chunks(401) {
-                s.update_batch(chunk);
-            }
-            // Queries fold-merge clones and draw from the front-end RNG.
-            for _ in 0..3 {
-                let _ = s.sample();
-            }
-        });
-    }
+    let stream = workload(70, 4_000, 61);
+    let mut sharded = ShardedSamplerBuilder::new(3)
+        .seed(7)
+        .build(|idx| TrulyPerfectLpSampler::new(2.0, 256, 0.1, 7 ^ ((idx as u64) << 32)));
+    sharded.update_batch(&stream[..2_500]);
+    assert_roundtrip(&mut sharded, |s| {
+        for chunk in stream[2_500..].chunks(401) {
+            s.update_batch(chunk);
+        }
+        // Queries fold-merge clones and draw from the front-end RNG.
+        for _ in 0..3 {
+            let _ = s.sample();
+        }
+    });
 }
 
 /// Restore-then-merge across "processes": shards snapshotted from one
@@ -243,7 +240,6 @@ fn sharded_snapshots_restore_then_merge_across_process_boundary() {
     use tps_streams::MergeableSampler;
     let stream = workload(80, 6_000, 61);
     let mut sharded = ShardedSamplerBuilder::new(4)
-        .strategy(ShardingStrategy::Hash)
         .seed(11)
         .build(|idx| TrulyPerfectLpSampler::new(2.0, 256, 0.1, 11 ^ ((idx as u64) << 32)));
     sharded.update_batch(&stream);
@@ -275,35 +271,10 @@ fn sharded_snapshots_restore_then_merge_across_process_boundary() {
 fn sketches_roundtrip_is_byte_identical() {
     let stream = workload(90, 5_000, 300);
 
-    let mut rng = default_rng(4);
-    let mut cm = CountMin::new(&mut rng, 4, 64);
-    cm.update_batch(&stream[..2_500]);
-    assert_roundtrip(&mut cm, |s| {
-        s.update_batch(&stream[2_500..]);
-    });
-
-    let mut rng = default_rng(5);
-    let mut cs = CountSketch::new(&mut rng, 5, 64);
-    cs.insert_batch(&stream[..2_500]);
-    assert_roundtrip(&mut cs, |s| {
-        s.insert_batch(&stream[2_500..]);
-        s.update(17, -3);
-    });
-
     let mut mg = MisraGries::new(24);
     mg.update_batch(&stream[..2_500]);
     assert_roundtrip(&mut mg, |s| {
         s.update_batch(&stream[2_500..]);
-    });
-
-    let mut ss = SpaceSaving::new(24);
-    for &x in &stream[..2_500] {
-        ss.update(x);
-    }
-    assert_roundtrip(&mut ss, |s| {
-        for &x in &stream[2_500..] {
-            s.update(x);
-        }
     });
 
     let mut table = SuffixCountTable::new();
@@ -461,25 +432,24 @@ fn sparse_recovery_roundtrip_is_byte_identical() {
     });
 }
 
+/// The name predates the removal of round-robin routing; hash routing is
+/// the only strategy left.
 #[test]
 fn sharded_turnstile_roundtrip_both_strategies() {
-    for strategy in [ShardingStrategy::Hash, ShardingStrategy::RoundRobin] {
-        let stream = signed_workload(130, 2_400, 150);
-        // One shared seed across shards: the turnstile merge law requires
-        // identical pre-drawn subsets.
-        let mut sharded = ShardedSamplerBuilder::new(3)
-            .strategy(strategy)
-            .seed(13)
-            .build_turnstile(|_idx| StrictTurnstileF0Sampler::new(150, 13));
-        sharded.ingest_batch(&stream[..1_500]);
-        assert_roundtrip(&mut sharded, |s| {
-            for chunk in stream[1_500..].chunks(311) {
-                s.ingest_batch(chunk);
-            }
-            // Queries fold-merge clones and draw from the merged state.
-            for _ in 0..3 {
-                let _ = TurnstileSampler::sample(s);
-            }
-        });
-    }
+    let stream = signed_workload(130, 2_400, 150);
+    // One shared seed across shards: the turnstile merge law requires
+    // identical pre-drawn subsets.
+    let mut sharded = ShardedSamplerBuilder::new(3)
+        .seed(13)
+        .build_turnstile(|_idx| StrictTurnstileF0Sampler::new(150, 13));
+    sharded.ingest_batch(&stream[..1_500]);
+    assert_roundtrip(&mut sharded, |s| {
+        for chunk in stream[1_500..].chunks(311) {
+            s.ingest_batch(chunk);
+        }
+        // Queries fold-merge clones and draw from the merged state.
+        for _ in 0..3 {
+            let _ = TurnstileSampler::sample(s);
+        }
+    });
 }
